@@ -4,35 +4,6 @@ GO ?= go
 
 .PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-json bench-json-ci smoke-serve smoke-durable smoke-schedule smoke-cluster smoke-stream smoke-chaos smoke-obs ci
 
-# Allocation budget for the CI regression gate: the per-window affinity
-# analysis (serial path) must stay under this allocs/op. The committed
-# BENCH_PR3.json baseline is ~9.4k; the budget leaves headroom for Go
-# version variance, not for real regressions.
-BENCH_ALLOC_BUDGET ?= 12000
-
-# Allocation budgets for the scheduling surfaces: one co-run batch
-# simulation (baseline ~108 allocs/op) and one 32-program placement
-# solve (baseline ~40 allocs/op). Headroom for Go version variance only.
-CORUN_ALLOC_BUDGET ?= 256
-SCHEDULE_ALLOC_BUDGET ?= 64
-
-# Allocation budgets for the streaming pipeline: one chunked decode of a
-# 64k-occurrence container (baseline 4 allocs/op — decoder setup only)
-# and one full feed-mode analysis of a 128k-reference trace (baseline
-# ~15.3k allocs/op). Headroom for Go version variance only.
-STREAM_DECODE_ALLOC_BUDGET ?= 16
-STREAM_FEED_ALLOC_BUDGET ?= 24000
-
-# The anti-entropy digest-set diff runs every sweep on every node and
-# reuses its caller's buffer: zero allocations, no headroom needed.
-ANTIENTROPY_DIFF_ALLOC_BUDGET ?= 0
-
-# The runtime-telemetry sampler ticks for the process lifetime; its
-# sample buffer is reused so the steady state is zero allocations, but
-# runtime/metrics may grow a histogram bucket slice on a fresh
-# Go release — small headroom for that, none for real regressions.
-RUNTIME_TICK_ALLOC_BUDGET ?= 8
-
 all: build
 
 build:
@@ -64,23 +35,12 @@ bench-smoke:
 
 # Bench-regression harness: run the kernel benchmarks with -benchmem,
 # write BENCH_PR10.json (ns/op, B/op, allocs/op per benchmark), and gate
-# on the allocation budgets. BENCH_PR3.json (pre-streaming) and
-# BENCH_PR9.json (pre-observability-plane) are earlier baselines, kept
-# for comparison.
+# on the allocation budgets in scripts/bench_gates.txt. BENCH_PR3.json
+# (pre-streaming) and BENCH_PR9.json (pre-observability-plane) are
+# earlier baselines, kept for comparison.
 bench-json:
 	sh scripts/bench_json.sh run BENCH_PR10.json
-	sh scripts/bench_json.sh check BENCH_PR10.json 'BuildHierarchyWorkers/workers=1' $(BENCH_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check BENCH_PR10.json 'SpanStartEnd' 0
-	sh scripts/bench_json.sh check BENCH_PR10.json 'RegistryCounterInc' 0
-	sh scripts/bench_json.sh check BENCH_PR10.json 'RegistryHistogramObserve' 0
-	sh scripts/bench_json.sh check BENCH_PR10.json 'TraceparentParse' 0
-	sh scripts/bench_json.sh check BENCH_PR10.json 'TraceparentFormat' 0
-	sh scripts/bench_json.sh check BENCH_PR10.json 'RuntimeSamplerTick' $(RUNTIME_TICK_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check BENCH_PR10.json 'CorunBatchWorkers/workers=1' $(CORUN_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check BENCH_PR10.json 'ScheduleSolve' $(SCHEDULE_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check BENCH_PR10.json 'StreamDecode' $(STREAM_DECODE_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check BENCH_PR10.json 'StreamFeed' $(STREAM_FEED_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check BENCH_PR10.json 'AntiEntropyDiff' $(ANTIENTROPY_DIFF_ALLOC_BUDGET)
+	sh scripts/bench_json.sh gate BENCH_PR10.json
 
 # End-to-end service smoke: start layoutd, submit a recorded trace via
 # layoutctl, assert a completed result and a cache hit on resubmission,
@@ -96,23 +56,10 @@ smoke-durable:
 
 # What the CI bench-json job runs: single-iteration bench sweep into a
 # scratch file (the committed BENCH_PR3.json baseline stays untouched),
-# then the allocation gates.
+# then the allocation gates of scripts/bench_gates.txt.
 bench-json-ci:
 	BENCHTIME=1x sh scripts/bench_json.sh run $(or $(TMPDIR),/tmp)/bench-ci.json
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'BuildHierarchyWorkers/workers=1' $(BENCH_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'ShardPairHists' 0
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'BuildShard' 0
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'SpanStartEnd' 0
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'RegistryCounterInc' 0
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'RegistryHistogramObserve' 0
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'TraceparentParse' 0
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'TraceparentFormat' 0
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'RuntimeSamplerTick' $(RUNTIME_TICK_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'CorunBatchWorkers/workers=1' $(CORUN_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'ScheduleSolve' $(SCHEDULE_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'StreamDecode' $(STREAM_DECODE_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'StreamFeed' $(STREAM_FEED_ALLOC_BUDGET)
-	sh scripts/bench_json.sh check $(or $(TMPDIR),/tmp)/bench-ci.json 'AntiEntropyDiff' $(ANTIENTROPY_DIFF_ALLOC_BUDGET)
+	sh scripts/bench_json.sh gate $(or $(TMPDIR),/tmp)/bench-ci.json
 
 # Scheduling-service smoke: optimize a trace under two optimizers, pair
 # them via /v1/corun, place {A, B, A, B} via /v1/schedule, and assert a

@@ -49,11 +49,6 @@ type Options struct {
 	// allocates fresh buffers. It is an execution knob, not a model
 	// parameter — the hierarchy is identical either way.
 	Arena *Arena
-	// FeedShardSpan overrides the span (in trimmed occurrences) of the
-	// shards a Feeder cuts from the arriving stream; 0 means a default
-	// sized to amortize warm-up replay. Like Workers it is an execution
-	// knob: the hierarchy is identical for every setting.
-	FeedShardSpan int
 }
 
 // DefaultWMax matches the paper's upper end of the analyzed window range.
@@ -167,30 +162,25 @@ func BuildHierarchy(t *trace.Trace, opt Options) *Hierarchy {
 }
 
 // BuildHierarchyCtx is BuildHierarchy with cancellation: the shard loops
-// check ctx between chunks and periodically within a shard, so a job
-// deadline can interrupt a long analysis mid-phase. On cancellation the
-// partial hierarchy is discarded and ctx's error returned.
+// check ctx periodically, so a job deadline can interrupt a long analysis
+// mid-phase. On cancellation the partial hierarchy is discarded and
+// ctx's error returned.
+//
+// The buffered build is the streaming Feeder fed the whole trimmed trace
+// at once, cut into one shard per worker: there is one dispatch-and-merge
+// path, and "streamed equals buffered" is a property of how the trace is
+// chunked.
 func BuildHierarchyCtx(ctx context.Context, t *trace.Trace, opt Options) (*Hierarchy, error) {
-	wmax := opt.WMax
-	if wmax <= 0 {
-		wmax = DefaultWMax
-	}
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
 	tt := t.Trimmed()
-	sp.SetAttr("trace_len", int64(len(tt.Syms)))
-	sp.SetAttr("wmax", int64(wmax))
-	h := newHierarchyShell(tt, wmax)
-	if len(tt.Syms) == 0 {
-		return h, nil
-	}
-	minW, err := pairMinWindowsStack(ctx, tt, wmax, opt.Workers, opt.Arena)
-	if err != nil {
+	workers := parallel.Workers(opt.Workers)
+	f := newFeeder(ctx, opt, (len(tt.Syms)+workers-1)/workers)
+	if err := f.Feed(tt.Syms); err != nil {
+		f.Abort()
 		return nil, err
 	}
-	buildLevels(h, wmax, minW)
-	opt.Arena.putMinW(minW)
-	return h, nil
+	return f.finish(sp)
 }
 
 // buildLevels fills hierarchy levels 2..wmax from the per-pair minimal
@@ -216,51 +206,11 @@ const minShardSpan = 4
 // poll ctx.Err() once per (cancelCheckMask+1) occurrences.
 const cancelCheckMask = 0x3FFF
 
-// pairMinWindowsStack computes, for every symbol pair that becomes affine
-// at some w <= wmax, that minimal w, using the two stack passes described
-// on BuildHierarchy. The trace is split into contiguous shards, one
-// independent pair of passes per shard; each shard warms its LRU stack
-// by replaying just enough of the neighboring trace that its top-wmax
-// stack views equal the full-trace simulation, so the per-shard
-// histograms sum to exactly the serial result. Shard tables merge
-// slab-to-slab into the first shard's table.
-func pairMinWindowsStack(ctx context.Context, tt *trace.Trace, wmax, workers int, arena *Arena) (*flathash.Sum64, error) {
-	n := len(tt.Syms)
-	maxSym := tt.MaxSym()
-	occCount := tt.Counts()
-
-	chunks := parallel.Chunks(n, parallel.Workers(workers), minShardSpan*wmax)
-	states := make([]*shardState, len(chunks))
-	err := parallel.ForEachCtx(ctx, workers, len(chunks), func(ctx context.Context, i int) error {
-		st := arena.getShard()
-		states[i] = st
-		return shardPairHists(ctx, st, tt.Syms, maxSym, wmax, chunks[i][0], chunks[i][1])
-	})
-	if err != nil {
-		for _, st := range states {
-			if st != nil {
-				arena.putShard(st)
-			}
-		}
-		return nil, err
-	}
-	pairs := &states[0].pairs
-	for _, st := range states[1:] {
-		pairs.MergeFrom(&st.pairs)
-	}
-
-	minW := reduceMinW(pairs, occCount, wmax, arena)
-	for _, st := range states {
-		arena.putShard(st)
-	}
-	return minW, nil
-}
-
 // reduceMinW folds the merged per-pair coverage histograms into the
 // minimal-affine-window table: for each pair, the smallest w at which
-// every occurrence of both symbols is covered. Shared by the buffered
-// build and the streaming Feeder — the histograms sum identically over
-// any contiguous sharding, so both paths reduce to the same table.
+// every occurrence of both symbols is covered. The histograms sum
+// identically over any contiguous sharding, so every chunking of the
+// trace reduces to the same table.
 func reduceMinW(pairs *flathash.Slab32, occCount []int64, wmax int, arena *Arena) *flathash.Sum64 {
 	minW := arena.getMinW()
 	pairs.ForEach(func(key int64, counts []uint32) {

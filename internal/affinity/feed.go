@@ -8,19 +8,19 @@ import (
 	"codelayout/internal/parallel"
 )
 
-// defaultFeedShardSpan is the streamed shard span when Options leaves it
-// unset: large enough that the warm-up replay (up to wmax distinct
-// symbols on each side) is noise against the shard body.
+// defaultFeedShardSpan is the streamed shard span: large enough that the
+// warm-up replay (up to wmax distinct symbols on each side) is noise
+// against the shard body.
 const defaultFeedShardSpan = 1 << 16
 
 // Feeder runs the stack-simulation analysis incrementally, over a trace
 // that arrives in chunks — layoutd feeding decoded upload chunks into
-// the kernel while the rest of the trace is still on the network. It
-// produces a Hierarchy byte-identical to BuildHierarchyCtx over the
-// concatenated input: the per-shard coverage histograms sum exactly for
-// ANY contiguous sharding (the PR 1 determinism invariant), so shards
+// the kernel while the rest of the trace is still on the network. It is
+// the analysis' only dispatch-and-merge path: BuildHierarchyCtx is one
+// Feed of the whole trace cut into one shard per worker. The per-shard
+// coverage histograms sum exactly for ANY contiguous sharding, so shards
 // cut at arrival-dictated boundaries merge to the same minimal-window
-// table the buffered build computes.
+// table as any other chunking of the same trace.
 //
 // The feeder keeps a single slab: the undispatched body plus just
 // enough preceding context for the next shard's warm-up replay. When
@@ -69,20 +69,21 @@ type Feeder struct {
 // analysis pool the shards are dispatched to (1 analyzes inline on the
 // feeding goroutine — the serial reference path).
 func NewFeeder(ctx context.Context, opt Options) *Feeder {
+	return newFeeder(ctx, opt, defaultFeedShardSpan)
+}
+
+// newFeeder is NewFeeder cutting shards of span trimmed occurrences, at
+// least minShardSpan*wmax so the warm-up replay stays amortized. The
+// span is an execution knob only: the hierarchy is identical for every
+// setting.
+func newFeeder(ctx context.Context, opt Options, span int) *Feeder {
 	wmax := opt.WMax
 	if wmax <= 0 {
 		wmax = DefaultWMax
 	}
-	target := opt.FeedShardSpan
-	if target <= 0 {
-		target = defaultFeedShardSpan
-	}
-	if target < minShardSpan*wmax {
-		target = minShardSpan * wmax
-	}
 	return &Feeder{
 		wmax:        wmax,
-		shardTarget: target,
+		shardTarget: max(span, minShardSpan*wmax),
 		arena:       opt.Arena,
 		pool:        parallel.NewFeedPool(ctx, opt.Workers),
 		prev:        -1,
@@ -121,6 +122,11 @@ func (f *Feeder) Feed(chunk []int32) error {
 	if f.err != nil {
 		return f.err
 	}
+	if f.slab == nil {
+		// Size the first slab for this chunk's share of a shard, so a
+		// buffered build's single Feed never regrows it.
+		f.slab = make([]int32, 0, min(len(chunk), f.shardTarget)+2*f.wmax)
+	}
 	for _, s := range chunk {
 		if s == f.prev {
 			continue // trimming, as BuildHierarchyCtx does up front
@@ -144,7 +150,7 @@ func (f *Feeder) Feed(chunk []int32) error {
 				f.seen[s] = f.seenEpoch
 				f.distinct++
 				if f.distinct >= f.wmax {
-					if err := f.dispatch(f.pendingHi); err != nil {
+					if err := f.dispatch(f.pendingHi, false); err != nil {
 						f.err = err
 						return err
 					}
@@ -193,43 +199,50 @@ func (f *Feeder) putSlab(s []int32) {
 	f.slabPool.Put(&s)
 }
 
-// dispatch freezes the current slab, hands shard [f.body, hi) to the
-// pool, and starts a fresh slab at the shard's own warm-up boundary so
-// the next shard warms up exactly as the full-trace simulation would.
-func (f *Feeder) dispatch(hi int) error {
-	lo, p := f.body, f.warmStart(hi)
-	slab, maxSym, wmax := f.slab, f.maxSym, f.wmax
-	next := append(f.getSlab(f.shardTarget+2*f.wmax), slab[p:]...)
+// dispatch freezes the current slab and hands shard [f.body, hi) to the
+// pool. Unless the shard is the last one, the feeder continues on a
+// fresh slab that starts at the shard's own warm-up boundary, so the
+// next shard warms up exactly as the full-trace simulation would. The
+// fresh slab is filled before the shard runs: at Workers=1 it runs
+// inline and recycles the old slab on return.
+func (f *Feeder) dispatch(hi int, last bool) error {
+	lo, slab, maxSym, wmax := f.body, f.slab, f.maxSym, f.wmax
+	if last {
+		f.slab = nil
+	} else {
+		p := f.warmStart(hi)
+		f.slab = append(f.getSlab(f.shardTarget+2*f.wmax), slab[p:]...)
+		f.body = hi - p
+		f.pendingHi = -1
+	}
 	st := f.arena.getShard()
 	f.states = append(f.states, st)
-	err := f.pool.Submit(func(ctx context.Context) error {
+	return f.pool.Submit(func(ctx context.Context) error {
 		err := shardPairHists(ctx, st, slab, maxSym, wmax, lo, hi)
 		f.putSlab(slab)
 		return err
 	})
-	f.slab = next
-	f.body = hi - p
-	f.pendingHi = -1
-	return err
 }
 
 // Finish seals the stream: the remaining body becomes the last shard
-// (its backward warm-up span ends at the true trace end, like the last
-// buffered chunk's), every shard's histograms merge in trace order, and
-// the hierarchy is built exactly as BuildHierarchyCtx builds it.
+// (its backward warm-up span ends at the true trace end), every shard's
+// histograms merge in trace order, and the hierarchy levels are built
+// from the merged table. It records one affinity.hierarchy span.
 func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
+	return f.finish(sp)
+}
+
+// finish is Finish recording into the caller's span, so a buffered build
+// reports one span covering both its feed and its merge.
+func (f *Feeder) finish(sp obs.Span) (*Hierarchy, error) {
 	sp.SetAttr("trace_len", int64(f.n))
 	sp.SetAttr("wmax", int64(f.wmax))
 	if f.err == nil && f.body < len(f.slab) {
-		f.dispatchFinal()
+		_ = f.dispatch(len(f.slab), true) // a failure resurfaces from Wait
 	}
 	if err := f.pool.Wait(); err != nil {
-		f.release()
-		return nil, err
-	}
-	if err := f.err; err != nil {
 		f.release()
 		return nil, err
 	}
@@ -246,21 +259,6 @@ func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	f.arena.putMinW(minW)
 	f.release()
 	return h, nil
-}
-
-func (f *Feeder) dispatchFinal() {
-	lo, hi := f.body, len(f.slab)
-	slab, maxSym, wmax := f.slab, f.maxSym, f.wmax
-	st := f.arena.getShard()
-	f.states = append(f.states, st)
-	if err := f.pool.Submit(func(ctx context.Context) error {
-		err := shardPairHists(ctx, st, slab, maxSym, wmax, lo, hi)
-		f.putSlab(slab)
-		return err
-	}); err != nil && f.err == nil {
-		f.err = err
-	}
-	f.slab = nil
 }
 
 // Abort discards the stream: it drains in-flight shards and recycles

@@ -2,18 +2,20 @@ package affinity
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"codelayout/internal/obs"
 	"codelayout/internal/trace"
 )
 
-// feedInChunks drives a Feeder with the trace split at the given chunk
-// size and returns the finished hierarchy.
-func feedInChunks(t *testing.T, tr *trace.Trace, opt Options, chunk int) *Hierarchy {
+// feedInChunks drives a Feeder cutting shards of the given span with the
+// trace split at the given chunk size and returns the finished hierarchy.
+func feedInChunks(t *testing.T, tr *trace.Trace, opt Options, span, chunk int) *Hierarchy {
 	t.Helper()
-	f := NewFeeder(context.Background(), opt)
+	f := newFeeder(context.Background(), opt, span)
 	syms := tr.Syms
 	for len(syms) > 0 {
 		c := chunk
@@ -58,9 +60,9 @@ func TestFeederMatchesBuffered(t *testing.T) {
 			buffered := BuildHierarchy(tr, Options{WMax: wmax, Workers: 1})
 			for _, workers := range []int{1, 4} {
 				for _, span := range []int{150, 1 << 20} {
-					opt := Options{WMax: wmax, Workers: workers, Arena: arena, FeedShardSpan: span}
+					opt := Options{WMax: wmax, Workers: workers, Arena: arena}
 					for _, chunk := range []int{1, 37, 1024} {
-						h := feedInChunks(t, tr, opt, chunk)
+						h := feedInChunks(t, tr, opt, span, chunk)
 						if !reflect.DeepEqual(h.Levels, buffered.Levels) {
 							t.Fatalf("trace %d wmax=%d workers=%d span=%d chunk=%d: streamed hierarchy differs",
 								ti, wmax, workers, span, chunk)
@@ -84,7 +86,7 @@ func TestFeederUntrimmedInput(t *testing.T) {
 	tr := trace.New(syms)
 	buffered := BuildHierarchy(tr, Options{WMax: 3, Workers: 1})
 	for chunk := 1; chunk <= len(syms); chunk++ {
-		h := feedInChunks(t, tr, Options{WMax: 3, Workers: 2, FeedShardSpan: 2}, chunk)
+		h := feedInChunks(t, tr, Options{WMax: 3, Workers: 2}, 2, chunk)
 		if !reflect.DeepEqual(h.Levels, buffered.Levels) {
 			t.Fatalf("chunk=%d: untrimmed streamed hierarchy differs", chunk)
 		}
@@ -105,7 +107,7 @@ func TestFeederLowDiversityTail(t *testing.T) {
 	}
 	tr := trace.New(syms)
 	buffered := BuildHierarchy(tr, Options{WMax: 5, Workers: 1})
-	h := feedInChunks(t, tr, Options{WMax: 5, Workers: 4, FeedShardSpan: 100}, 64)
+	h := feedInChunks(t, tr, Options{WMax: 5, Workers: 4}, 100, 64)
 	if !reflect.DeepEqual(h.Levels, buffered.Levels) {
 		t.Fatal("low-diversity tail: streamed hierarchy differs from buffered")
 	}
@@ -116,7 +118,7 @@ func TestFeederLowDiversityTail(t *testing.T) {
 func TestFeederAbort(t *testing.T) {
 	arena := &Arena{}
 	rng := rand.New(rand.NewSource(5))
-	f := NewFeeder(context.Background(), Options{WMax: 4, Workers: 4, Arena: arena, FeedShardSpan: 64})
+	f := newFeeder(context.Background(), Options{WMax: 4, Workers: 4, Arena: arena}, 64)
 	chunk := make([]int32, 256)
 	for i := 0; i < 8; i++ {
 		for j := range chunk {
@@ -140,7 +142,7 @@ func TestFeederAbort(t *testing.T) {
 // error from Feed or Finish instead of wedging.
 func TestFeederCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	f := NewFeeder(ctx, Options{WMax: 4, Workers: 4, FeedShardSpan: 64})
+	f := newFeeder(ctx, Options{WMax: 4, Workers: 4}, 64)
 	cancel()
 	chunk := make([]int32, 4096)
 	for i := range chunk {
@@ -159,6 +161,46 @@ func TestFeederCancellation(t *testing.T) {
 	f.Abort()
 }
 
+// TestBuildHierarchyCtxSpanAndCancel: a buffered build records exactly
+// one affinity.hierarchy span covering its feed and merge, and a canceled
+// build returns ctx's error and leaves the arena serving correct builds.
+func TestBuildHierarchyCtxSpanAndCancel(t *testing.T) {
+	tr := phasedTrace(rand.New(rand.NewSource(11)), 3000, 300, 10)
+	want := BuildHierarchyNaive(tr, Options{WMax: 6})
+	arena := &Arena{}
+	for _, workers := range []int{1, 4} {
+		opt := Options{WMax: 6, Workers: workers, Arena: arena}
+		rec := obs.NewRecorder(16)
+		h, err := BuildHierarchyCtx(obs.WithRecorder(context.Background(), rec), tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(h.Levels, want.Levels) {
+			t.Fatalf("workers=%d: hierarchy differs from the naive reference", workers)
+		}
+		spans, _ := rec.Snapshot()
+		if len(spans) != 1 || spans[0].Name != "affinity.hierarchy" || spans[0].Dur < 0 {
+			t.Fatalf("workers=%d: spans = %+v, want one ended affinity.hierarchy span", workers, spans)
+		}
+		attrs := map[string]int64{}
+		for _, a := range spans[0].Attrs[:spans[0].NAttr] {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["trace_len"] != int64(tr.Trimmed().Len()) || attrs["wmax"] != 6 {
+			t.Errorf("workers=%d: span attrs = %v, want trace_len=%d wmax=6", workers, attrs, tr.Trimmed().Len())
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := BuildHierarchyCtx(ctx, tr, opt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: canceled build err = %v, want context.Canceled", workers, err)
+		}
+		if h := BuildHierarchy(tr, opt); !reflect.DeepEqual(h.Levels, want.Levels) {
+			t.Fatalf("workers=%d: arena corrupted by the canceled build", workers)
+		}
+	}
+}
+
 // BenchmarkStreamFeed measures the feeder end-to-end on a phased trace,
 // arena-recycled: the steady-state target is allocation-light dispatch
 // (slab copies and pooled shard states only).
@@ -166,10 +208,9 @@ func BenchmarkStreamFeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	tr := phasedTrace(rng, 1<<17, 4096, 48)
 	arena := &Arena{}
-	opt := Options{WMax: DefaultWMax, Workers: 4, Arena: arena, FeedShardSpan: 1 << 14}
+	opt := Options{WMax: DefaultWMax, Workers: 4, Arena: arena}
 	// Warm the arena pools once.
-	h := feedBench(b, tr, opt)
-	_ = h
+	feedBench(b, tr, opt)
 	b.SetBytes(int64(4 * len(tr.Syms)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -178,8 +219,10 @@ func BenchmarkStreamFeed(b *testing.B) {
 	}
 }
 
+// feedBench streams tr in 8192-occurrence chunks through a feeder cutting
+// shards of 1<<14 occurrences.
 func feedBench(b *testing.B, tr *trace.Trace, opt Options) *Hierarchy {
-	f := NewFeeder(context.Background(), opt)
+	f := newFeeder(context.Background(), opt, 1<<14)
 	syms := tr.Syms
 	for len(syms) > 0 {
 		c := 8192

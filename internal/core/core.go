@@ -129,10 +129,6 @@ type Optimizer struct {
 	// the serial reference path. It is an execution knob, not a model
 	// parameter — the layout is identical for every setting.
 	Workers int
-	// FeedShardSpan overrides the shard span (in trimmed occurrences)
-	// the streaming Feed cuts from an arriving trace; 0 means the
-	// kernels' defaults. Like Workers it is an execution knob only.
-	FeedShardSpan int
 	// Arena recycles the analysis kernels' internal buffers across
 	// Optimize calls; nil allocates fresh buffers per call. Like Workers
 	// it is an execution knob only — the layout is identical either way.

@@ -83,16 +83,13 @@ func (o Optimizer) NewFeed(ctx context.Context, prog *ir.Program) (*Feed, error)
 	switch o.Model {
 	case ModelAffinity:
 		f.aff = affinity.NewFeeder(ctx, affinity.Options{
-			WMax:          o.WMax,
-			Workers:       o.Workers,
-			Arena:         o.Arena.affinityArena(),
-			FeedShardSpan: o.FeedShardSpan,
+			WMax: o.WMax, Workers: o.Workers, Arena: o.Arena.affinityArena(),
 		})
 	case ModelTRG:
 		f.trgP = trg.DefaultParams(o.trgBlockBytes())
 		f.trgP.WindowScale = o.TRGWindowScale
 		f.trgP.Workers = o.Workers
-		f.trgF = trg.NewFeeder(ctx, f.trgP.WindowBlocks(), o.Workers, o.FeedShardSpan, o.Arena.trgArena())
+		f.trgF = trg.NewFeeder(ctx, f.trgP.WindowBlocks(), o.Workers, 0, o.Arena.trgArena())
 	}
 	return f, nil
 }

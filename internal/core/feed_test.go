@@ -39,8 +39,8 @@ func feedOptimize(t *testing.T, o Optimizer, prof *Profile, chunk int) (*layout.
 // TestFeedMatchesOptimize is the end-to-end streamed-vs-buffered oracle:
 // for every feed-mode optimizer, pushing the trace chunk by chunk must
 // produce a Report and layout byte-identical to the buffered
-// OptimizeCtx, at Workers=1 and Workers=N, with shard spans small
-// enough to force many arrival-cut shards.
+// OptimizeCtx, at Workers=1 and Workers=N. The kernels' own feed tests
+// cover shard spans small enough to force many arrival-cut shards.
 func TestFeedMatchesOptimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 2; i++ {
@@ -67,7 +67,6 @@ func TestFeedMatchesOptimize(t *testing.T) {
 				for _, chunk := range []int{97, 8192} {
 					o := base
 					o.Workers = workers
-					o.FeedShardSpan = 300
 					l, rep := feedOptimize(t, o, prof, chunk)
 					if !reflect.DeepEqual(rep, wantRep) {
 						t.Fatalf("case %d %s workers=%d chunk=%d: report %+v != buffered %+v",

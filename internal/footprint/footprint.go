@@ -172,17 +172,7 @@ func NewCurveWorkers(syms []int32, weights []int32, workers int) *Curve {
 		last[s] = t
 	}
 	c.Total = m
-	finishCurve(c, m, maxSym, first, last, rt, w, workers)
-	return c
-}
 
-// finishCurve runs the closing sweeps of the Xiang formula over the
-// single-pass tables: shared by the buffered computation above and the
-// streaming CurveFeeder, which accumulates the same tables chunk by
-// chunk. first/last must cover [0, maxSym] (extra -1 entries are
-// ignored); rt may be shorter than n+1 when no long reuse occurred.
-func finishCurve(c *Curve, m float64, maxSym int32, first, last []int, rt []float64, w func(int32) float64, workers int) {
-	n := c.N
 	// wt[v] collects, per window-length value v in [1, n], the weight of
 	// first-access times f = v, reverse-last times r = v (both 1-based),
 	// and reuse times t = v. The three sums of the Xiang formula then
@@ -195,7 +185,7 @@ func finishCurve(c *Curve, m float64, maxSym int32, first, last []int, rt []floa
 		wt[first[s]+1] += w(s) // f_i
 		wt[n-last[s]] += w(s)  // r_i = n - last (last is 0-based)
 	}
-	for t := 1; t <= n && t < len(rt); t++ {
+	for t := 1; t <= n; t++ {
 		wt[t] += rt[t]
 	}
 
@@ -224,6 +214,7 @@ func finishCurve(c *Curve, m float64, maxSym int32, first, last []int, rt []floa
 		}
 		return nil
 	})
+	return c
 }
 
 // At returns FP(w), clamping w to [0, N].

@@ -48,8 +48,7 @@ const (
 
 // NewTraceID returns a fresh 32-hex-character trace ID — the W3C trace
 // context width, so layoutd trace IDs drop straight into a traceparent
-// header. Legacy 16-hex IDs (pre-widening nodes, old clients) are still
-// accepted everywhere an ID is read; see ValidTraceID.
+// header; see ValidTraceID.
 func NewTraceID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {

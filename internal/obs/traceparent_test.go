@@ -22,8 +22,6 @@ func TestParseTraceparent(t *testing.T) {
 		{"00-" + tpTrace + "-" + tpSpan + "-00", true, tpTrace, tpSpan, false},
 		// Future version with trailing fields.
 		{"cc-" + tpTrace + "-" + tpSpan + "-01-extra", true, tpTrace, tpSpan, true},
-		// Legacy 16-hex trace ID from a pre-widening node.
-		{"00-" + tpSpan + "-" + tpSpan + "-01", true, tpSpan, tpSpan, true},
 		// Flags other than 01 parse; only bit 0 is sampled.
 		{"00-" + tpTrace + "-" + tpSpan + "-03", true, tpTrace, tpSpan, true},
 		{"00-" + tpTrace + "-" + tpSpan + "-02", true, tpTrace, tpSpan, false},
@@ -43,6 +41,7 @@ func TestParseTraceparent(t *testing.T) {
 		{"cc-" + tpTrace + "-" + tpSpan + "-01x", false, "", "", false},                 // junk, not a separator
 		{"00_" + tpTrace + "_" + tpSpan + "_01", false, "", "", false},                  // wrong separators
 		{"00-" + tpTrace[:20] + "-" + tpSpan + "-01", false, "", "", false},             // odd trace width
+		{"00-" + tpSpan + "-" + tpSpan + "-01", false, "", "", false},                   // 16-hex trace id
 	}
 	for _, c := range cases {
 		tp, ok := ParseTraceparent(c.in)
@@ -68,15 +67,6 @@ func TestFormatTraceparent(t *testing.T) {
 	if got := FormatTraceparent(tpTrace, tpSpan, false); !strings.HasSuffix(got, "-00") {
 		t.Fatalf("unsampled header = %q, want -00 suffix", got)
 	}
-	// A legacy 16-hex trace ID is left-padded to a spec-valid header.
-	padded := FormatTraceparent(tpSpan, tpSpan, true)
-	want = "00-" + strings.Repeat("0", 16) + tpSpan + "-" + tpSpan + "-01"
-	if padded != want {
-		t.Fatalf("legacy pad = %q, want %q", padded, want)
-	}
-	if _, ok := ParseTraceparent(padded); !ok {
-		t.Fatal("padded legacy header does not round-trip through the parser")
-	}
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -96,7 +86,7 @@ func TestValidTraceID(t *testing.T) {
 		ok bool
 	}{
 		{tpTrace, true},
-		{tpSpan, true}, // legacy width
+		{tpSpan, false}, // 16 hex: the span width, not a trace ID
 		{"", false},
 		{strings.Repeat("0", 32), false},
 		{strings.Repeat("0", 16), false},

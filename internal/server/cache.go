@@ -11,28 +11,6 @@ import (
 	"codelayout/internal/obs"
 )
 
-// resultCache is the content-addressed result store: a completed
-// optimization is keyed by the digest of everything that determined it
-// — the SHA-256 of the uploaded trace bytes, the optimizer name, and
-// the request parameters — so resubmitting the same profile is served
-// without recomputation and `GET /v1/layouts/{digest}` is a stable
-// address for a layout.
-//
-// It is two-tiered: the in-memory map is the fast tier, and an
-// optional persistent store (internal/store) is the durable tier. Puts
-// land in memory synchronously and spill to disk behind the request
-// path; a memory miss falls through to disk and repopulates memory, so
-// layouts computed before a restart keep being served.
-type resultCache struct {
-	mu      sync.RWMutex
-	results map[string]*Result
-	disk    blobStore // nil: memory-only
-}
-
-func newResultCache(disk blobStore) *resultCache {
-	return &resultCache{results: make(map[string]*Result), disk: disk}
-}
-
 // resultDigest derives the cache key. The fields are length-prefixed by
 // newline framing over hex/known-charset values, so distinct inputs
 // cannot collide by concatenation.
@@ -43,63 +21,96 @@ func resultDigest(traceDigest, prog, optimizer string, pruneTopN int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// get returns the cached result for the digest, if present, consulting
+// digested is a document that carries its own content address.
+type digested interface {
+	digest() string
+}
+
+func (r Result) digest() string      { return r.Digest }
+func (d CorunDoc) digest() string    { return d.Digest }
+func (d ScheduleDoc) digest() string { return d.Digest }
+
+// docCache is the content-addressed store for JSON documents: optimization
+// results (keyed by resultDigest, so resubmitting the same profile is
+// served without recomputation and `GET /v1/layouts/{digest}` is a stable
+// address for a layout), co-run pair documents and schedule documents.
+//
+// It is two-tiered: the in-memory map is the fast tier, and an optional
+// persistent store (internal/store) is the durable tier, where documents
+// live under prefix+digest. Puts land in memory synchronously and spill
+// to disk behind the request path; a memory miss falls through to disk
+// and repopulates memory, so documents computed before a restart keep
+// being served.
+type docCache[T digested] struct {
+	mu     sync.RWMutex
+	docs   map[string]*T
+	disk   blobStore // nil: memory-only
+	prefix string
+}
+
+func newDocCache[T digested](disk blobStore, prefix string) *docCache[T] {
+	return &docCache[T]{docs: make(map[string]*T), disk: disk, prefix: prefix}
+}
+
+// get returns the cached document for the digest, if present, consulting
 // the durable tier on a memory miss. The disk read is recorded as a
 // store.read span on ctx's recorder, if any.
-func (c *resultCache) get(ctx context.Context, digest string) (*Result, bool) {
+func (c *docCache[T]) get(ctx context.Context, key string) (*T, bool) {
 	c.mu.RLock()
-	r, ok := c.results[digest]
+	d, ok := c.docs[key]
 	c.mu.RUnlock()
 	if ok || c.disk == nil {
-		return r, ok
+		return d, ok
 	}
 	sp := obs.StartSpan(ctx, "store.read")
-	data, ok := c.disk.Get(digest)
+	data, ok := c.disk.Get(c.prefix + key)
 	sp.SetAttr("bytes", int64(len(data)))
 	sp.End()
 	if !ok {
 		return nil, false
 	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil || res.Digest != digest {
+	var doc T
+	if err := json.Unmarshal(data, &doc); err != nil || doc.digest() != key {
 		// A verified blob that doesn't decode to its own digest is a
 		// format drift or foreign file, not corruption; ignore it.
 		return nil, false
 	}
 	c.mu.Lock()
-	c.results[digest] = &res
+	c.docs[key] = &doc
 	c.mu.Unlock()
-	return &res, true
+	return &doc, true
 }
 
-// put stores a completed result under its digest in both tiers. The
-// durable write is write-behind: the store.write span covers only the
-// marshal and enqueue, never the disk.
-func (c *resultCache) put(ctx context.Context, r *Result) {
+// put stores a document under its digest in both tiers. The durable
+// write is write-behind: the store.write span covers only the marshal
+// and enqueue, never the disk.
+func (c *docCache[T]) put(ctx context.Context, doc *T) {
+	key := (*doc).digest()
 	c.mu.Lock()
-	c.results[r.Digest] = r
+	c.docs[key] = doc
 	c.mu.Unlock()
-	if c.disk != nil {
-		sp := obs.StartSpan(ctx, "store.write")
-		if data, err := json.Marshal(r); err == nil {
-			sp.SetAttr("bytes", int64(len(data)))
-			c.disk.Put(r.Digest, data)
-		}
-		sp.End()
+	if c.disk == nil {
+		return
 	}
+	sp := obs.StartSpan(ctx, "store.write")
+	if data, err := json.Marshal(doc); err == nil {
+		sp.SetAttr("bytes", int64(len(data)))
+		c.disk.Put(c.prefix+key, data)
+	}
+	sp.End()
 }
 
-// drop purges the memory tier's copy of a digest (the admin DELETE
-// path; the disk blob is removed separately).
-func (c *resultCache) drop(digest string) {
+// drop purges the memory tier's copy of a digest (the admin DELETE path;
+// the disk blob is removed separately).
+func (c *docCache[T]) drop(key string) {
 	c.mu.Lock()
-	delete(c.results, digest)
+	delete(c.docs, key)
 	c.mu.Unlock()
 }
 
-// len returns the number of cached layouts.
-func (c *resultCache) len() int {
+// len returns the number of documents in the memory tier.
+func (c *docCache[T]) len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.results)
+	return len(c.docs)
 }

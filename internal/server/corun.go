@@ -85,7 +85,8 @@ type CorunDoc struct {
 	// PeerLaps reports how many times each side's wrapping peer restarted
 	// during the deployed-pairing simulation (A's run, then B's).
 	PeerLaps [2]int `json:"peerLaps"`
-	// ElapsedMS is the analysis wall time (0 for cache hits).
+	// ElapsedMS is the computing job's analysis wall time; a hit returns
+	// the stored document unchanged.
 	ElapsedMS float64 `json:"elapsedMS"`
 }
 
@@ -191,68 +192,6 @@ func corunDigest(dA, dB string, cfg cachesim.Config) string {
 	fmt.Fprintf(h, "layoutd/corun/v1\na:%s\nb:%s\ncache:%d/%d/%d\n",
 		dA, dB, cfg.SizeBytes, cfg.Assoc, cfg.LineBytes)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// docCache is a two-tier content-addressed cache for JSON analysis
-// documents (pair and schedule results), following resultCache's shape:
-// synchronous memory tier, write-behind durable tier, disk fallback on
-// memory miss.
-type docCache[T any] struct {
-	mu     sync.RWMutex
-	docs   map[string]*T
-	disk   blobStore // nil: memory-only
-	prefix string
-}
-
-func newDocCache[T any](disk blobStore, prefix string) *docCache[T] {
-	return &docCache[T]{docs: make(map[string]*T), disk: disk, prefix: prefix}
-}
-
-func (c *docCache[T]) get(ctx context.Context, key string) (*T, bool) {
-	c.mu.RLock()
-	d, ok := c.docs[key]
-	c.mu.RUnlock()
-	if ok || c.disk == nil {
-		return d, ok
-	}
-	sp := obs.StartSpan(ctx, "store.read")
-	data, ok := c.disk.Get(c.prefix + key)
-	sp.SetAttr("bytes", int64(len(data)))
-	sp.End()
-	if !ok {
-		return nil, false
-	}
-	var doc T
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.docs[key] = &doc
-	c.mu.Unlock()
-	return &doc, true
-}
-
-func (c *docCache[T]) put(ctx context.Context, key string, doc *T) {
-	c.mu.Lock()
-	c.docs[key] = doc
-	c.mu.Unlock()
-	if c.disk == nil {
-		return
-	}
-	sp := obs.StartSpan(ctx, "store.write")
-	if data, err := json.Marshal(doc); err == nil {
-		sp.SetAttr("bytes", int64(len(data)))
-		c.disk.Put(c.prefix+key, data)
-	}
-	sp.End()
-}
-
-// drop purges the memory tier's copy of a key (the admin DELETE path;
-// the disk blob is removed separately).
-func (c *docCache[T]) drop(key string) {
-	c.mu.Lock()
-	delete(c.docs, key)
-	c.mu.Unlock()
 }
 
 // resolveEntry materializes one cached digest for co-run analysis:
@@ -402,7 +341,7 @@ func (s *Server) runCorunJob(poolCtx context.Context, j *Job, req *corunJobReque
 		return
 	}
 	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.pairs.put(ctx, doc.Digest, doc)
+	s.pairs.put(ctx, doc)
 	j.completeCorun(doc)
 	s.metrics.completed.Inc()
 	s.finish(j)

@@ -31,7 +31,8 @@ type Result struct {
 	MissBefore    float64 `json:"missBefore"`
 	MissAfter     float64 `json:"missAfter"`
 	MissReduction float64 `json:"missReduction"`
-	// ElapsedMS is the optimization wall time (0 for cache hits).
+	// ElapsedMS is the computing job's wall time; a hit returns the
+	// stored result unchanged.
 	ElapsedMS float64 `json:"elapsedMS"`
 }
 
@@ -344,6 +345,13 @@ func (j *Job) done() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status == StatusDone || j.status == StatusFailed || j.status == StatusCanceled
+}
+
+// wallMS returns the job's own wall time, from acceptance to completion.
+func (j *Job) wallMS() float64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return float64(j.finished.Sub(j.created)) / float64(time.Millisecond)
 }
 
 // terminal returns the completion time of a done, failed, or canceled

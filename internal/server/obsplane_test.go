@@ -27,12 +27,11 @@ func TestRequestTraceID(t *testing.T) {
 	if got := requestTraceID(mk("00-" + tid + "-00f067aa0ba902b7-01")); got != tid {
 		t.Fatalf("standard traceparent not adopted: got %q", got)
 	}
-	// Legacy 16-hex trace IDs are accepted on read.
-	if got := requestTraceID(mk("00-00f067aa0ba902b7-00f067aa0ba902b7-01")); got != "00f067aa0ba902b7" {
-		t.Fatalf("legacy traceparent not adopted: got %q", got)
-	}
+	// A 16-hex trace ID is not a W3C trace ID: rejected, so a fresh one
+	// is minted, as for a missing or malformed header.
 	fresh := regexp.MustCompile(`^[0-9a-f]{32}$`)
-	for _, h := range []string{"", "garbage", "00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01"} {
+	for _, h := range []string{"", "garbage", "00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",
+		"00-00f067aa0ba902b7-00f067aa0ba902b7-01"} {
 		if got := requestTraceID(mk(h)); !fresh.MatchString(got) || got == tid {
 			t.Fatalf("header %q: want fresh 32-hex ID, got %q", h, got)
 		}

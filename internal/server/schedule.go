@@ -58,7 +58,8 @@ type ScheduleDoc struct {
 	// PairsCached came from the content-addressed pair cache.
 	PairsComputed int `json:"pairsComputed"`
 	PairsCached   int `json:"pairsCached"`
-	// ElapsedMS is the job wall time (0 for cache hits).
+	// ElapsedMS is the computing job's wall time; a hit returns the
+	// stored document unchanged.
 	ElapsedMS float64 `json:"elapsedMS"`
 }
 
@@ -198,7 +199,7 @@ func (s *Server) runScheduleJob(poolCtx context.Context, j *Job, req *scheduleJo
 		return
 	}
 	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.schedules.put(ctx, req.key, doc)
+	s.schedules.put(ctx, doc)
 	j.completeSchedule(doc)
 	s.metrics.completed.Inc()
 	s.finish(j)
@@ -257,7 +258,7 @@ func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (
 			return err
 		}
 		s.metrics.schedulePairs.Inc()
-		s.pairs.put(ctx, doc.Digest, doc)
+		s.pairs.put(ctx, doc)
 		mu.Lock()
 		docs[k] = doc
 		computed++

@@ -182,7 +182,7 @@ const (
 type Server struct {
 	cfg       Config
 	pool      *parallel.Pool
-	cache     *resultCache
+	cache     *docCache[Result]
 	traces    *traceCache
 	pairs     *docCache[CorunDoc]
 	schedules *docCache[ScheduleDoc]
@@ -280,7 +280,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		pool:      parallel.NewPool(cfg.JobWorkers, cfg.QueueDepth),
-		cache:     newResultCache(blobs),
+		cache:     newDocCache[Result](blobs, ""),
 		traces:    newTraceCache(cfg.TraceCacheEntries, blobs),
 		pairs:     newDocCache[CorunDoc](blobs, pairStoreKey),
 		schedules: newDocCache[ScheduleDoc](blobs, scheduleStoreKey),
@@ -477,9 +477,9 @@ type submission struct {
 }
 
 // requestTraceID adopts the caller's trace ID when the request carries
-// a valid W3C traceparent header (standard 32-hex or legacy 16-hex
-// trace ID), else mints a fresh one — so a job submitted through a
-// non-owner keeps one trace ID end to end across the forward hop.
+// a valid W3C traceparent header, else mints a fresh one — so a job
+// submitted through a non-owner keeps one trace ID end to end across the
+// forward hop.
 func requestTraceID(r *http.Request) string {
 	if tp, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
 		return tp.TraceID
@@ -854,6 +854,10 @@ func (s *Server) finish(j *Job) {
 		Error:     v.Error,
 	}
 	switch {
+	case v.Cached:
+		// A hit returns the stored document unchanged, so the document's
+		// ElapsedMS is the computing job's; report the hit's own.
+		sum.ElapsedMS = j.wallMS()
 	case v.Result != nil:
 		sum.ElapsedMS = v.Result.ElapsedMS
 	case v.Corun != nil:

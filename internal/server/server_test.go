@@ -734,6 +734,19 @@ func TestDebugJobsRing(t *testing.T) {
 		t.Fatalf("job failed: %+v", done)
 	}
 
+	found := debugJob(t, ts, v.ID)
+	if found.TraceID != v.TraceID || found.Status != StatusDone ||
+		found.Prog != testProg || found.Optimizer != "func-callgraph" {
+		t.Errorf("debug summary = %+v", found)
+	}
+	if found.ElapsedMS <= 0 {
+		t.Errorf("debug summary elapsed_ms = %v, want > 0", found.ElapsedMS)
+	}
+}
+
+// debugJob returns job id's entry in the /v1/debug/jobs ring.
+func debugJob(t *testing.T, ts *httptest.Server, id string) jobSummary {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/debug/jobs")
 	if err != nil {
 		t.Fatal(err)
@@ -745,21 +758,74 @@ func TestDebugJobsRing(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	var found *jobSummary
-	for i := range body.Jobs {
-		if body.Jobs[i].ID == v.ID {
-			found = &body.Jobs[i]
-			break
+	for _, j := range body.Jobs {
+		if j.ID == id {
+			return j
 		}
 	}
-	if found == nil {
-		t.Fatalf("job %s not in debug ring: %+v", v.ID, body.Jobs)
+	t.Fatalf("job %s not in debug ring: %+v", id, body.Jobs)
+	return jobSummary{}
+}
+
+// TestCacheHitElapsed: a hit returns the stored result unchanged —
+// elapsedMS included, since the result is content-addressed — while
+// its "job finished" log line and debug summary report the hit's own
+// duration.
+func TestCacheHitElapsed(t *testing.T) {
+	raw, _ := recordedTrace(t)
+	var logs syncBuffer
+	s, ts := newTestServer(t, Config{
+		JobWorkers: 1, QueueDepth: 4, OptWorkers: 1,
+		Logger: obs.NewLogger(&logs, slog.LevelInfo),
+	})
+	query := "prog=" + testProg + "&opt=func-callgraph"
+	v, code := submitRaw(t, ts, raw, query)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
 	}
-	if found.TraceID != v.TraceID || found.Status != StatusDone ||
-		found.Prog != testProg || found.Optimizer != "func-callgraph" {
-		t.Errorf("debug summary = %+v", *found)
+	if done := waitJob(t, ts, v.ID); done.Status != StatusDone {
+		t.Fatalf("job failed: %+v", done)
 	}
-	if found.ElapsedMS <= 0 {
-		t.Errorf("debug summary elapsed_ms = %v, want > 0", found.ElapsedMS)
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(logs.String(), "job finished") {
+		if time.Now().After(deadline) {
+			t.Fatalf("no 'job finished' log line; logs:\n%s", logs.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Re-store the result with a computing time no hit can take.
+	const storedMS = 1e6
+	res, ok := s.cache.get(context.Background(), v.Digest)
+	if !ok {
+		t.Fatal("computed result not cached")
+	}
+	stored := *res
+	stored.ElapsedMS = storedMS
+	s.cache.put(context.Background(), &stored)
+
+	hit, code := submitRaw(t, ts, raw, query)
+	if code != http.StatusOK || !hit.Cached || hit.Result == nil {
+		t.Fatalf("resubmit: status %d, view %+v; want a cache hit", code, hit)
+	}
+	if hit.Result.ElapsedMS != storedMS {
+		t.Errorf("hit result elapsedMS = %v, want the stored %v", hit.Result.ElapsedMS, float64(storedMS))
+	}
+	if sum := debugJob(t, ts, hit.ID); !sum.Cached || sum.ElapsedMS < 0 || sum.ElapsedMS >= storedMS {
+		t.Errorf("hit debug summary = %+v, want the hit's own duration", sum)
+	}
+	var logged bool
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) != nil || rec["job"] != hit.ID || rec["msg"] != "job finished" {
+			continue
+		}
+		logged = true
+		if ms, _ := rec["elapsed_ms"].(float64); ms < 0 || ms >= storedMS {
+			t.Errorf("hit 'job finished' elapsed_ms = %v, want the hit's own duration", rec["elapsed_ms"])
+		}
+	}
+	if !logged {
+		t.Errorf("no 'job finished' log line for hit %s; logs:\n%s", hit.ID, logs.String())
 	}
 }

@@ -17,7 +17,7 @@ const traceStoreKey = "t-"
 
 // traceCache retains decoded uploads keyed by their trace digest so the
 // scheduling endpoints can replay a profile that was submitted earlier
-// without the client re-uploading it. Like resultCache it is two-tiered:
+// without the client re-uploading it. Like docCache it is two-tiered:
 // a bounded in-memory LRU of decoded traces in front of the durable
 // store, which holds the canonical CLTR encoding. A memory miss decodes
 // from disk and repopulates memory; an evicted or quarantined blob means

@@ -13,11 +13,11 @@ import (
 const defaultFeedShardSpan = 1 << 16
 
 // Feeder constructs the TRG incrementally over a trace arriving in
-// chunks, producing a graph whose node order and edge weights are
-// identical to BuildCtx over the concatenated input: per-shard partial
-// graphs merge exactly for ANY contiguous sharding (weights sum, node
-// lists concatenate in trace order), so arrival-cut shards land on the
-// same graph the buffered build computes.
+// chunks. It is the construction's only dispatch-and-merge path: BuildCtx
+// is one Feed of the whole trace cut into one shard per worker. Per-shard
+// partial graphs merge exactly for ANY contiguous sharding (weights sum,
+// node lists concatenate in trace order), so arrival-cut shards land on
+// the same graph as any other chunking of the same trace.
 //
 // Unlike the affinity analysis, the construction pass only warms
 // backward (the interleaving scan looks at the stack of past accesses),
@@ -56,21 +56,22 @@ type Feeder struct {
 // would be the whole history — so the feeder degrades to a single shard
 // cut at Finish: correct, but with buffered-path memory.
 func NewFeeder(ctx context.Context, windowBlocks, workers, shardSpan int, arena *Arena) *Feeder {
-	limit := windowBlocks
-	target := shardSpan
-	if limit <= 0 {
-		limit = 1 << 30 // effectively: never cut before Finish
-		target = 1 << 30
+	if windowBlocks <= 0 {
+		return newFeeder(ctx, 1<<30, workers, 1<<30, arena) // never cut before Finish
 	}
-	if target <= 0 {
-		target = defaultFeedShardSpan
+	if shardSpan <= 0 {
+		shardSpan = defaultFeedShardSpan
 	}
-	if target < 4*limit {
-		target = 4 * limit
-	}
+	return newFeeder(ctx, windowBlocks, workers, shardSpan, arena)
+}
+
+// newFeeder builds a feeder scanning limit distinct blocks per access and
+// cutting shards of span trimmed occurrences, at least 4*limit so the
+// warm-up replay stays amortized.
+func newFeeder(ctx context.Context, limit, workers, span int, arena *Arena) *Feeder {
 	return &Feeder{
 		limit:       limit,
-		shardTarget: target,
+		shardTarget: max(span, 4*limit),
 		arena:       arena,
 		pool:        parallel.NewFeedPool(ctx, workers),
 		prev:        -1,
@@ -85,9 +86,23 @@ func (f *Feeder) Feed(chunk []int32) error {
 	if f.err != nil {
 		return f.err
 	}
+	if f.slab == nil {
+		// Size the first slab for this chunk's share of a shard, so a
+		// buffered build's single Feed never regrows it.
+		f.slab = make([]int32, 0, min(len(chunk), f.shardTarget))
+	}
 	for _, s := range chunk {
 		if s == f.prev {
 			continue // trimming, as BuildCtx does up front
+		}
+		if len(f.slab)-f.body >= f.shardTarget {
+			// Cutting a full body only once the next symbol arrives leaves
+			// a trace that ends on the boundary to Finish's last shard,
+			// which needs no fresh slab.
+			if err := f.dispatch(len(f.slab), false); err != nil {
+				f.err = err
+				return err
+			}
 		}
 		f.prev = s
 		if int(s) >= len(f.seen) {
@@ -104,12 +119,6 @@ func (f *Feeder) Feed(chunk []int32) error {
 		}
 		f.n++
 		f.slab = append(f.slab, s)
-		if len(f.slab)-f.body >= f.shardTarget {
-			if err := f.dispatch(len(f.slab)); err != nil {
-				f.err = err
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -148,77 +157,62 @@ func (f *Feeder) putSlab(s []int32) {
 	f.slabPool.Put(&s)
 }
 
-// dispatch freezes the current slab, hands shard [f.body, hi) to the
-// pool, and starts a fresh slab at the shard's warm-up boundary.
-func (f *Feeder) dispatch(hi int) error {
-	lo, p := f.body, f.warmStart(hi)
-	slab, maxSym, limit := f.slab, f.maxSym, f.limit
-	next := append(f.getSlab(f.shardTarget+f.limit), slab[p:]...)
-	st := f.arena.getShard()
-	if st.g == nil {
-		st.g = NewGraph()
+// dispatch freezes the current slab and hands shard [f.body, hi) to the
+// pool, building into a graph borrowed from the arena. Unless the shard
+// is the last one, the feeder continues on a fresh slab that starts at
+// the shard's warm-up boundary; it is filled before the shard runs,
+// because at Workers=1 the shard runs inline and recycles the old slab
+// on return.
+func (f *Feeder) dispatch(hi int, last bool) error {
+	lo, slab, maxSym, limit := f.body, f.slab, f.maxSym, f.limit
+	if last {
+		f.slab = nil
 	} else {
-		st.g.Reset()
+		p := f.warmStart(hi)
+		f.slab = append(f.getSlab(f.shardTarget+f.limit), slab[p:]...)
+		f.body = hi - p
 	}
+	st := f.arena.getShard()
+	st.g = f.arena.GetGraph()
 	st.g.ensureSym(maxSym)
 	f.states = append(f.states, st)
-	err := f.pool.Submit(func(ctx context.Context) error {
+	return f.pool.Submit(func(ctx context.Context) error {
 		err := buildShard(ctx, st, st.g, slab, maxSym, limit, lo, hi)
 		f.putSlab(slab)
 		return err
 	})
-	f.slab = next
-	f.body = hi - p
-	return err
 }
 
 // Finish seals the stream: the remaining body becomes the last shard,
-// and the partial graphs merge in trace order into a graph from the
-// arena — edge weights sum and node lists concatenate, reproducing the
-// global first-occurrence node order exactly as BuildCtx's merge does.
-// The caller owns the returned graph (recycle it via Arena.PutGraph).
+// and the partial graphs merge in trace order — edge weights sum and
+// node lists concatenate, reproducing the global first-occurrence node
+// order. A single shard's graph is returned as is, without a merge. The
+// caller owns the returned graph (recycle it via Arena.PutGraph).
 func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
 	if f.err == nil && f.body < len(f.slab) {
-		lo, hi := f.body, len(f.slab)
-		slab, maxSym, limit := f.slab, f.maxSym, f.limit
-		st := f.arena.getShard()
-		if st.g == nil {
-			st.g = NewGraph()
-		} else {
-			st.g.Reset()
-		}
-		st.g.ensureSym(maxSym)
-		f.states = append(f.states, st)
-		if err := f.pool.Submit(func(ctx context.Context) error {
-			err := buildShard(ctx, st, st.g, slab, maxSym, limit, lo, hi)
-			f.putSlab(slab)
-			return err
-		}); err != nil && f.err == nil {
-			f.err = err
-		}
-		f.slab = nil
+		_ = f.dispatch(len(f.slab), true) // a failure resurfaces from Wait
 	}
 	if err := f.pool.Wait(); err != nil {
 		f.release()
 		return nil, err
 	}
-	if err := f.err; err != nil {
-		f.release()
-		return nil, err
-	}
-	g := f.arena.GetGraph()
-	if f.n == 0 {
-		f.release()
-		return g, nil
-	}
-	g.ensureSym(f.maxSym)
-	for _, st := range f.states {
-		for _, s := range st.g.nodes {
-			g.AddNode(s)
+	var g *Graph
+	switch len(f.states) {
+	case 0:
+		g = f.arena.GetGraph()
+	case 1:
+		g, f.states[0].g = f.states[0].g, nil
+	default:
+		g = f.arena.GetGraph()
+		g.ensureSym(f.maxSym)
+		for _, st := range f.states {
+			for _, s := range st.g.nodes {
+				g.AddNode(s)
+			}
+			st.g.weights.ForEach(func(key int64, w int64) {
+				g.weights.Add(key, w)
+			})
 		}
-		st.g.weights.ForEach(func(key int64, w int64) {
-			g.weights.Add(key, w)
-		})
 	}
 	f.release()
 	return g, nil
@@ -231,8 +225,11 @@ func (f *Feeder) Abort() {
 	f.release()
 }
 
+// release returns every shard's state and partial graph to the arena.
 func (f *Feeder) release() {
 	for _, st := range f.states {
+		f.arena.PutGraph(st.g)
+		st.g = nil
 		f.arena.putShard(st)
 	}
 	f.states = nil

@@ -2,6 +2,7 @@ package trg
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -142,4 +143,27 @@ func TestFeederCancellation(t *testing.T) {
 		t.Fatal("canceled feeder reported no error")
 	}
 	f.Abort()
+}
+
+// TestBuildCtxCancel: a canceled buffered build returns ctx's error and
+// leaves the arena serving correct builds.
+func TestBuildCtxCancel(t *testing.T) {
+	tr := phasedTrace(rand.New(rand.NewSource(12)), 3000, 300, 10)
+	want := BuildNaive(tr, 8)
+	arena := &Arena{}
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := BuildCtx(ctx, tr, 8, workers, arena); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: canceled build err = %v, want context.Canceled", workers, err)
+		}
+		g, err := BuildCtx(context.Background(), tr, 8, workers, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.Nodes(), want.Nodes()) || !reflect.DeepEqual(g.Edges(), want.Edges()) {
+			t.Fatalf("workers=%d: arena corrupted by the canceled build", workers)
+		}
+		arena.PutGraph(g)
+	}
 }

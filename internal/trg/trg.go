@@ -198,7 +198,8 @@ type buildState struct {
 	// stamp/epoch is the warm-up's epoch-stamped distinct-symbol scratch.
 	stamp []int32
 	epoch int32
-	// g accumulates the shard's partial graph when sharding.
+	// g accumulates the shard's partial graph; it is borrowed from the
+	// Arena at dispatch.
 	g *Graph
 }
 
@@ -253,73 +254,31 @@ func BuildWorkers(t *trace.Trace, windowBlocks, workers int) *Graph {
 	return g
 }
 
-// BuildCtx is BuildWorkers with cancellation and buffer reuse. The trace
-// is split into contiguous shards; each shard warms a private LRU stack
-// by replaying the span holding the last windowBlocks distinct symbols
-// before it, so its per-access interleaving views equal the full-trace
-// simulation, and the per-shard partial graphs merge deterministically:
-// edge weights sum (addition commutes) and shard node lists concatenate
-// in trace order, reproducing the global first-occurrence node order.
-// The shard loops poll ctx, so a job deadline can interrupt a long
-// construction; on cancellation the partial graph is discarded and ctx's
-// error returned. arena may be nil.
+// BuildCtx is BuildWorkers with cancellation and buffer reuse: the
+// streaming Feeder fed the whole trimmed trace at once, cut into one
+// shard per worker. Each shard warms a private LRU stack by replaying the
+// span holding the last windowBlocks distinct symbols before it, so its
+// per-access interleaving views equal the full-trace simulation, and the
+// per-shard partial graphs merge exactly: edge weights sum and shard node
+// lists concatenate in trace order, reproducing the global
+// first-occurrence node order. The shard loops poll ctx, so a job
+// deadline can interrupt a long construction; on cancellation the
+// partial graph is discarded and ctx's error returned. arena may be nil.
 func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, arena *Arena) (*Graph, error) {
 	tt := t.Trimmed()
-	g := arena.GetGraph()
-	if len(tt.Syms) == 0 {
-		return g, nil
-	}
-	maxSym := tt.MaxSym()
-	g.ensureSym(maxSym)
 	limit := windowBlocks
 	if limit <= 0 {
-		limit = int(maxSym) + 1
+		// The whole trace is at hand, so an unbounded window is bounded
+		// by the alphabet and can still shard.
+		limit = int(tt.MaxSym()) + 1
 	}
-	// A shard must dwarf its warm-up replay (up to `limit` distinct
-	// symbols) for sharding to pay; Chunks collapses to one shard when
-	// the trace is too short to split.
-	chunks := parallel.Chunks(len(tt.Syms), parallel.Workers(workers), 4*limit)
-	if len(chunks) == 1 {
-		st := arena.getShard()
-		err := buildShard(ctx, st, g, tt.Syms, maxSym, limit, 0, len(tt.Syms))
-		arena.putShard(st)
-		if err != nil {
-			arena.PutGraph(g)
-			return nil, err
-		}
-		return g, nil
-	}
-	states := make([]*buildState, len(chunks))
-	err := parallel.ForEachCtx(ctx, workers, len(chunks), func(ctx context.Context, i int) error {
-		st := arena.getShard()
-		states[i] = st
-		if st.g == nil {
-			st.g = NewGraph()
-		} else {
-			st.g.Reset()
-		}
-		st.g.ensureSym(maxSym)
-		return buildShard(ctx, st, st.g, tt.Syms, maxSym, limit, chunks[i][0], chunks[i][1])
-	})
-	if err != nil {
-		for _, st := range states {
-			if st != nil {
-				arena.putShard(st)
-			}
-		}
-		arena.PutGraph(g)
+	w := parallel.Workers(workers)
+	f := newFeeder(ctx, limit, workers, (len(tt.Syms)+w-1)/w, arena)
+	if err := f.Feed(tt.Syms); err != nil {
+		f.Abort()
 		return nil, err
 	}
-	for _, st := range states {
-		for _, s := range st.g.nodes {
-			g.AddNode(s)
-		}
-		st.g.weights.ForEach(func(key int64, w int64) {
-			g.weights.Add(key, w)
-		})
-		arena.putShard(st)
-	}
-	return g, nil
+	return f.Finish(ctx)
 }
 
 // cancelCheckMask throttles the in-shard context checks: the shard loop

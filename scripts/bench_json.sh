@@ -1,6 +1,6 @@
 #!/bin/sh
-# bench_json.sh — bench-regression harness, run by `make bench-json` and
-# the CI bench-json job.
+# bench_json.sh — bench-regression harness, run by `make bench-json`,
+# `make bench-json-ci` and the CI bench-json job.
 #
 #   bench_json.sh run [out.json]
 #       Run the kernel benchmarks (affinity stack passes, TRG
@@ -12,7 +12,14 @@
 #
 #   bench_json.sh check out.json <benchmark> <max-allocs>
 #       Exit non-zero if <benchmark>'s allocs_per_op in out.json exceeds
-#       <max-allocs>. This is the CI allocation-regression gate.
+#       <max-allocs>.
+#
+#   bench_json.sh gate out.json [gates.txt]
+#       Run check for every "<benchmark> <max-allocs>" line of gates.txt
+#       (default: scripts/bench_gates.txt; blank lines and # comments are
+#       skipped) and exit non-zero if any gate fails. This is the
+#       allocation-regression gate of `make bench-json`, `make
+#       bench-json-ci` and CI.
 #
 # Plain shell + awk on `go test -bench` output: no external dependencies.
 set -eu
@@ -98,6 +105,16 @@ check() {
                         bench, FILENAME > "/dev/stderr"; exit 2 } }' "$file"
 }
 
+gate() {
+    file=$1 gates=${2:-$(dirname "$0")/bench_gates.txt}
+    status=0
+    while read -r bench maxallocs; do
+        case "$bench" in '' | '#'*) continue ;; esac
+        check "$file" "$bench" "$maxallocs" || status=1
+    done < "$gates"
+    return $status
+}
+
 cmd=${1:-run}
 case "$cmd" in
 run)
@@ -109,8 +126,13 @@ check)
     shift
     check "$@"
     ;;
+gate)
+    [ $# -eq 2 ] || [ $# -eq 3 ] || { echo "usage: bench_json.sh gate out.json [gates.txt]" >&2; exit 2; }
+    shift
+    gate "$@"
+    ;;
 *)
-    echo "usage: bench_json.sh [run [out.json] | check out.json <benchmark> <max-allocs>]" >&2
+    echo "usage: bench_json.sh [run [out.json] | check out.json <benchmark> <max-allocs> | gate out.json [gates.txt]]" >&2
     exit 2
     ;;
 esac
