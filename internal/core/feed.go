@@ -8,12 +8,13 @@ import (
 	"codelayout/internal/ir"
 	"codelayout/internal/layout"
 	"codelayout/internal/obs"
+	"codelayout/internal/trace"
 	"codelayout/internal/trg"
 )
 
-// FeedSupported reports whether this optimizer can analyze prog's trace
-// incrementally, chunk by chunk, with a result byte-identical to the
-// buffered OptimizeCtx. Two conditions gate it:
+// incremental reports whether this optimizer can analyze prog's trace
+// chunk by chunk, with a result byte-identical to OptimizeCtx. Two
+// conditions gate it:
 //
 //   - the model must have a streaming kernel (affinity and TRG do; the
 //     baselines — CMG, call-graph, search — replay or iterate over the
@@ -22,13 +23,13 @@ import (
 //     bound covers the program's whole alphabet at this granularity
 //     (every symbol with a non-zero count is kept and retention is
 //     exactly 1.0). Pruning by frequency inherently needs the full
-//     trace's counts, so a stream with an effective prune cannot start
-//     analysis before end-of-stream.
+//     trace's counts, so an effective prune cannot start analysis
+//     before end-of-stream.
 //
 // With the paper's default bound of 10,000 blocks and the generated
 // suite's program sizes, the gate holds for all four paper optimizers
 // at their defaults.
-func (o Optimizer) FeedSupported(prog *ir.Program) bool {
+func (o Optimizer) incremental(prog *ir.Program) bool {
 	if prog == nil {
 		return false
 	}
@@ -53,8 +54,15 @@ func (o Optimizer) FeedSupported(prog *ir.Program) bool {
 
 // Feed is a streaming optimization in progress: the caller pushes
 // decoded trace chunks as they arrive (layoutd, while the upload is
-// still on the wire) and Finish returns the same layout and Report the
-// buffered OptimizeCtx would produce from the concatenated trace.
+// still on the wire) and Finish returns the same layout and Report
+// OptimizeCtx would produce from the concatenated trace.
+//
+// Whether the analysis runs while the chunks arrive is decided here,
+// per optimizer and program: the affinity and TRG kernels consume each
+// chunk incrementally when pruning is provably the identity; every
+// other optimizer (the baselines, or any effective popularity prune,
+// which needs the whole trace's counts) has its validated chunks
+// collected and handed to OptimizeCtx at Finish.
 //
 // A Feed is not safe for concurrent use; push chunks from one
 // goroutine, then call exactly one of Finish or Abort.
@@ -68,18 +76,24 @@ type Feed struct {
 	aff  *affinity.Feeder
 	trgF *trg.Feeder
 	trgP trg.Params
+	// raw collects the block trace when neither kernel runs
+	// incrementally.
+	raw []int32
 
 	err  error
 	done bool
 }
 
-// NewFeed starts a streaming optimization bound to ctx. It fails if
-// FeedSupported is false for this optimizer and program.
+// NewFeed starts a streaming optimization of prog bound to ctx. Every
+// optimizer is accepted; see Feed for which ones analyze incrementally.
 func (o Optimizer) NewFeed(ctx context.Context, prog *ir.Program) (*Feed, error) {
-	if !o.FeedSupported(prog) {
-		return nil, fmt.Errorf("core: %s does not support feed-mode for %s", o.Name(), progName(prog))
+	if prog == nil {
+		return nil, fmt.Errorf("core: nil program")
 	}
 	f := &Feed{o: o, prog: prog, prev: -1}
+	if !o.incremental(prog) {
+		return f, nil
+	}
 	switch o.Model {
 	case ModelAffinity:
 		f.aff = affinity.NewFeeder(ctx, affinity.Options{
@@ -94,18 +108,26 @@ func (o Optimizer) NewFeed(ctx context.Context, prog *ir.Program) (*Feed, error)
 	return f, nil
 }
 
-func progName(p *ir.Program) string {
-	if p == nil {
-		return "<nil>"
+// CheckBlocks validates a chunk of a raw basic-block trace against prog:
+// every symbol must name one of its blocks. Feed applies it to every
+// chunk; a caller that must reject a trace before its Feed runs (layoutd
+// answering an upload) applies the same check.
+func CheckBlocks(prog *ir.Program, chunk []int32) error {
+	nb := int32(prog.NumBlocks())
+	for _, s := range chunk {
+		if s < 0 || s >= nb {
+			return fmt.Errorf("trace symbol %d out of range for %s (%d blocks); is this a basic-block trace of the named program?",
+				s, prog.Name, nb)
+		}
 	}
-	return p.Name
+	return nil
 }
 
 // Feed pushes one chunk of the raw basic-block trace. Symbols are
-// validated against the program, mapped to the optimizer's granularity
-// and trimmed across chunk boundaries — exactly the preparation the
-// buffered pipeline's trace.prune step performs up front. Chunk
-// boundaries are irrelevant to the result.
+// validated against the program (CheckBlocks); incremental analyses map
+// them to the optimizer's granularity and trim across chunk boundaries —
+// exactly the preparation OptimizeCtx's trace.prune step performs up
+// front. Chunk boundaries are irrelevant to the result.
 func (f *Feed) Feed(ctx context.Context, chunk []int32) error {
 	if f.err != nil {
 		return f.err
@@ -113,13 +135,15 @@ func (f *Feed) Feed(ctx context.Context, chunk []int32) error {
 	if f.done {
 		return fmt.Errorf("core: feed already finished")
 	}
+	if f.err = CheckBlocks(f.prog, chunk); f.err != nil {
+		return f.err
+	}
+	if f.aff == nil && f.trgF == nil {
+		f.raw = append(f.raw, chunk...)
+		return nil
+	}
 	f.buf = f.buf[:0]
-	nb := int32(f.prog.NumBlocks())
 	for _, s := range chunk {
-		if s < 0 || s >= nb {
-			f.err = fmt.Errorf("core: trace references block %d, program %s has %d", s, f.prog.Name, nb)
-			return f.err
-		}
 		if f.o.Gran == GranFunction {
 			s = int32(f.prog.Blocks[s].Fn)
 		}
@@ -129,24 +153,19 @@ func (f *Feed) Feed(ctx context.Context, chunk []int32) error {
 		f.prev = s
 		f.buf = append(f.buf, s)
 	}
-	var err error
-	switch {
-	case f.aff != nil:
-		err = f.aff.Feed(f.buf)
-	case f.trgF != nil:
-		err = f.trgF.Feed(f.buf)
+	if f.aff != nil {
+		f.err = f.aff.Feed(f.buf)
+	} else {
+		f.err = f.trgF.Feed(f.buf)
 	}
-	if err != nil {
-		f.err = err
-	}
-	return err
+	return f.err
 }
 
 // Finish seals the stream, completes the analysis and emits the layout.
-// The Report is byte-identical to the buffered OptimizeCtx over the
-// concatenated chunks: same sequence, lengths, retention (exactly 1.0,
-// which the FeedSupported gate guarantees pruning would report) and
-// jump overhead.
+// The Report is byte-identical to OptimizeCtx over the concatenated
+// chunks: same sequence, lengths, retention (exactly 1.0 for an
+// incremental analysis, which the incremental gate guarantees pruning
+// would report) and jump overhead.
 func (f *Feed) Finish(ctx context.Context) (*layout.Layout, Report, error) {
 	rep := Report{Optimizer: f.o.Name()}
 	if f.err != nil {
@@ -168,15 +187,21 @@ func (f *Feed) Finish(ctx context.Context) (*layout.Layout, Report, error) {
 		seq = h.Sequence()
 	case f.trgF != nil:
 		rep.TraceLen = f.trgF.N()
+		sp := obs.StartSpan(ctx, "trg.build")
 		g, err := f.trgF.Finish(ctx)
 		if err != nil {
+			sp.End()
 			return nil, rep, fmt.Errorf("core: %s analysis: %w", f.o.Name(), err)
 		}
+		sp.SetAttr("nodes", int64(len(g.Nodes())))
+		sp.End()
 		rp := obs.StartSpan(ctx, "trg.reduce")
 		seq = trg.Reduce(g, f.trgP.Slots())
 		rp.SetAttr("seq_len", int64(len(seq)))
 		rp.End()
 		f.o.Arena.trgArena().PutGraph(g)
+	default:
+		return f.o.OptimizeCtx(ctx, &Profile{Prog: f.prog, Blocks: trace.New(f.raw)})
 	}
 	rep.Retention = 1.0
 	rep.SeqLen = len(seq)
@@ -195,6 +220,7 @@ func (f *Feed) Abort() {
 		return
 	}
 	f.done = true
+	f.raw = nil
 	switch {
 	case f.aff != nil:
 		f.aff.Abort()

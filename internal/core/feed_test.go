@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"codelayout/internal/layout"
@@ -37,10 +38,11 @@ func feedOptimize(t *testing.T, o Optimizer, prof *Profile, chunk int) (*layout.
 }
 
 // TestFeedMatchesOptimize is the end-to-end streamed-vs-buffered oracle:
-// for every feed-mode optimizer, pushing the trace chunk by chunk must
-// produce a Report and layout byte-identical to the buffered
-// OptimizeCtx, at Workers=1 and Workers=N. The kernels' own feed tests
-// cover shard spans small enough to force many arrival-cut shards.
+// for every optimizer, at its default prune and at an effective one,
+// pushing the trace chunk by chunk must produce a Report and layout
+// byte-identical to OptimizeCtx, at Workers=1 and Workers=N. The
+// kernels' own feed tests cover shard spans small enough to force many
+// arrival-cut shards.
 func TestFeedMatchesOptimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 2; i++ {
@@ -53,10 +55,13 @@ func TestFeedMatchesOptimize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		for _, base := range AllOptimizers() {
-			if !base.FeedSupported(p) {
-				t.Fatalf("case %d: %s must support feed-mode at defaults", i, base.Name())
-			}
+		var opts []Optimizer
+		for _, o := range AllWithBaselines() {
+			pruned := o
+			pruned.PruneTopN = 5
+			opts = append(opts, o, pruned)
+		}
+		for _, base := range opts {
 			o := base
 			o.Workers = 1
 			wantL, wantRep, err := o.Optimize(prof)
@@ -85,36 +90,36 @@ func TestFeedMatchesOptimize(t *testing.T) {
 	}
 }
 
-// TestFeedSupportedGate: baselines never stream; paper optimizers stream
-// only while pruning is provably the identity.
+// TestFeedSupportedGate: baselines never analyze incrementally; paper
+// optimizers do only while pruning is provably the identity.
 func TestFeedSupportedGate(t *testing.T) {
 	p, err := LoadProgram("458.sjeng")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The intra baseline shares the affinity analysis — only its final
-	// transformation differs — so it streams too.
+	// transformation differs — so it is incremental too.
 	for _, o := range append(AllOptimizers(), BBAffinityIntra()) {
-		if !o.FeedSupported(p) {
-			t.Errorf("%s: want feed-mode at defaults", o.Name())
+		if !o.incremental(p) {
+			t.Errorf("%s: want incremental analysis at defaults", o.Name())
 		}
 	}
 	for _, o := range []Optimizer{FuncCallGraph(), FuncCMG(), FuncSearch()} {
-		if o.FeedSupported(p) {
-			t.Errorf("%s: baselines must not claim feed-mode", o.Name())
+		if o.incremental(p) {
+			t.Errorf("%s: baselines must not claim incremental analysis", o.Name())
 		}
 	}
 	tight := BBAffinity()
 	tight.PruneTopN = p.NumBlocks() - 1 // a real prune: needs full-trace counts
-	if tight.FeedSupported(p) {
-		t.Error("effective pruning must disable feed-mode")
+	if tight.incremental(p) {
+		t.Error("effective pruning must disable incremental analysis")
 	}
 	tight.PruneTopN = p.NumBlocks()
-	if !tight.FeedSupported(p) {
-		t.Error("prune bound covering the alphabet must keep feed-mode")
+	if !tight.incremental(p) {
+		t.Error("prune bound covering the alphabet must keep incremental analysis")
 	}
-	if (Optimizer{}).FeedSupported(nil) {
-		t.Error("nil program must not claim feed-mode")
+	if (Optimizer{}).incremental(nil) {
+		t.Error("nil program must not claim incremental analysis")
 	}
 }
 
@@ -125,13 +130,14 @@ func TestFeedRejectsOutOfRangeSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Optimizer{FuncAffinity(), BBTRG()} {
+	for _, o := range []Optimizer{FuncAffinity(), BBTRG(), FuncCallGraph()} {
 		f, err := o.NewFeed(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Feed(context.Background(), []int32{0, int32(p.NumBlocks())}); err == nil {
-			t.Errorf("%s: out-of-range block accepted", o.Name())
+		err = f.Feed(context.Background(), []int32{0, int32(p.NumBlocks())})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: out-of-range block: err = %v", o.Name(), err)
 		}
 		f.Abort()
 	}

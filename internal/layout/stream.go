@@ -40,44 +40,13 @@ func NewStreamReplayer(l *Layout, lineBytes int) *StreamReplayer {
 	}
 }
 
-// emit appends the lines fetched by one occurrence of b whose successor
-// in the trace is next (ir.NoBlock at the trace end) — the same rules,
-// in the same order, as Replayer.AppendLines.
-func (r *StreamReplayer) emit(dst []int64, b, next ir.BlockID) []int64 {
-	p := r.plan
-	if r.hasStubs && r.prev != ir.NoBlock {
-		if fn := p.entryFn[b]; fn >= 0 && p.callCallee[r.prev] == fn {
-			for ln := p.stubFirst[fn]; ln <= p.stubLast[fn]; ln++ {
-				dst = append(dst, ln)
-			}
-		}
-	}
-	last := p.lastFull[b]
-	if f := p.fall[b]; f != ir.NoBlock && next != f {
-		last = p.lastShort[b]
-	}
-	for ln := p.lineFirst[b]; ln <= last; ln++ {
-		dst = append(dst, ln)
-	}
-	r.prev = b
-	r.blocks++
-	return dst
-}
-
 // Feed appends the cache lines fetched by chunk's occurrences to dst
 // and returns the extended slice. Chunk boundaries are irrelevant: any
 // split of a trace yields the same line stream. The lines for the
 // chunk's final occurrence appear only once its successor arrives (in
 // the next chunk, or at Finish).
 func (r *StreamReplayer) Feed(dst []int64, chunk []int32) []int64 {
-	for _, s := range chunk {
-		b := ir.BlockID(s)
-		if r.hasHeld {
-			dst = r.emit(dst, r.held, b)
-		}
-		r.held, r.hasHeld = b, true
-	}
-	return dst
+	return r.run(dst, chunk, false)
 }
 
 // Finish flushes the held trailing occurrence — its successor is the
@@ -85,10 +54,47 @@ func (r *StreamReplayer) Feed(dst []int64, chunk []int32) []int64 {
 // afterwards; further Feed calls start emitting again as if the stream
 // continued, so call Finish exactly once, last.
 func (r *StreamReplayer) Finish(dst []int64) []int64 {
-	if r.hasHeld {
-		dst = r.emit(dst, r.held, ir.NoBlock)
-		r.held, r.hasHeld = ir.NoBlock, false
+	return r.run(dst, nil, true)
+}
+
+// run emits the held occurrence and every occurrence of chunk but the
+// last, each once its successor is known — the same rules, in the same
+// order, as Replayer.AppendLines — and, when final, the last one with
+// the trace end as its successor. The replay state lives in locals for
+// the loop; it is the per-occurrence hot path of layoutd's miss
+// simulation.
+func (r *StreamReplayer) run(dst []int64, chunk []int32, final bool) []int64 {
+	p, hasStubs := r.plan, r.hasStubs
+	prev, held, hasHeld, blocks := r.prev, r.held, r.hasHeld, r.blocks
+	for i := 0; i <= len(chunk); i++ {
+		next := ir.NoBlock
+		if i < len(chunk) {
+			next = ir.BlockID(chunk[i])
+		} else if !final {
+			break
+		}
+		if hasHeld {
+			b := held
+			if hasStubs && prev != ir.NoBlock {
+				if fn := p.entryFn[b]; fn >= 0 && p.callCallee[prev] == fn {
+					for ln := p.stubFirst[fn]; ln <= p.stubLast[fn]; ln++ {
+						dst = append(dst, ln)
+					}
+				}
+			}
+			last := p.lastFull[b]
+			if f := p.fall[b]; f != ir.NoBlock && next != f {
+				last = p.lastShort[b]
+			}
+			for ln := p.lineFirst[b]; ln <= last; ln++ {
+				dst = append(dst, ln)
+			}
+			prev = b
+			blocks++
+		}
+		held, hasHeld = next, next != ir.NoBlock
 	}
+	r.prev, r.held, r.hasHeld, r.blocks = prev, held, hasHeld, blocks
 	return dst
 }
 

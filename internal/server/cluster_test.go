@@ -541,8 +541,8 @@ func TestTraceEvictionRacesCorun(t *testing.T) {
 	var wg sync.WaitGroup
 	jobs := make(chan string, 16)
 	// Half the goroutines hammer corun pairings (each replays both
-	// traces), the other half resubmit the trace (cache-hit path calls
-	// traces.put, churning the LRU front and evicting).
+	// traces and repopulates the LRU from disk), the other half resubmit
+	// the trace.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -144,6 +144,22 @@ func TestCorunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCorunMemoryOnlyRetention: a server without a durable tier keeps
+// the traces of the layouts it computed, so the paper optimizers'
+// layouts can be co-run without a Store behind the trace cache.
+func TestCorunMemoryOnlyRetention(t *testing.T) {
+	_, ts := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 8, OptWorkers: 1, StreamWindow: DefaultStreamWindow})
+	dA := submitDone(t, ts, "func-affinity")
+	dB := submitDone(t, ts, "func-trg")
+	v, errMsg, code := postJSON(t, ts, "/v1/corun", map[string]any{"a": dA, "b": dB})
+	if code != http.StatusAccepted {
+		t.Fatalf("corun status %d: %s", code, errMsg)
+	}
+	if done := waitJob(t, ts, v.ID); done.Status != StatusDone || done.Corun == nil {
+		t.Fatalf("corun job %+v", done)
+	}
+}
+
 // TestCorunSelfPairing: a layout co-running with another instance of
 // itself is a legal pairing and reports symmetric sides.
 func TestCorunSelfPairing(t *testing.T) {

@@ -75,9 +75,10 @@ func TestResultSurvivesRestart(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 8, OptWorkers: 1, Store: st2})
 
 	v2, code := submitRaw(t, ts2, raw, "prog="+testProg+"&opt=func-affinity")
-	if code != http.StatusOK {
-		t.Fatalf("resubmit after restart status %d, want 200 (cache hit)", code)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit after restart status %d, want 202", code)
 	}
+	v2 = waitJob(t, ts2, v2.ID)
 	if !v2.Cached || v2.Status != StatusDone || v2.Result == nil {
 		t.Fatalf("restarted server recomputed: %+v", v2)
 	}
@@ -165,7 +166,10 @@ func TestDegradedModeKeepsServing(t *testing.T) {
 		t.Fatalf("job while degraded failed: %+v", done)
 	}
 	v2again, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt=func-affinity&prune=301")
-	if code != http.StatusOK || !v2again.Cached {
+	if code == http.StatusAccepted {
+		v2again = waitJob(t, ts, v2again.ID)
+	}
+	if code != http.StatusAccepted || !v2again.Cached {
 		t.Fatalf("memory tier lost a result while degraded: code %d, %+v", code, v2again)
 	}
 

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"context"
 	"log/slog"
 	"sync"
 	"time"
 
 	"codelayout/internal/core"
-	"codelayout/internal/ir"
 	"codelayout/internal/obs"
-	"codelayout/internal/trace"
 )
 
 // Result is the completed output of one optimization job — what the
@@ -59,24 +56,6 @@ const (
 	jobKindSchedule = "schedule"
 )
 
-// jobRequest carries everything a worker needs to run one job. The
-// trace and program are fully validated at submission time, so a worker
-// can only fail on pipeline errors, not on malformed input.
-type jobRequest struct {
-	prog        *ir.Program
-	progName    string
-	opt         core.Optimizer
-	pruneTopN   int
-	trace       *trace.Trace
-	traceDigest string
-	digest      string
-	deadline    time.Time
-	// ctx is the job's own lifetime context; DELETE /v1/jobs/{id}
-	// cancels it so the pipeline stops even if the job slipped into
-	// running between the status check and the cancel.
-	ctx context.Context
-}
-
 // Job is one submission's mutable state. All fields behind mu except
 // the observability handles (traceID, rec, logger), which are set once
 // at creation and read-only after; the JSON view is built under the
@@ -111,7 +90,7 @@ type Job struct {
 	progName string
 	optName  string
 	// traceBytes is the upload size counted in layoutd_inflight_bytes
-	// while the job is queued or running (0 for cache hits).
+	// from the end of its upload until finish (holdBytes, releaseBytes).
 	traceBytes int64
 }
 
@@ -131,25 +110,42 @@ type jobView struct {
 	Schedule *ScheduleDoc `json:"schedule,omitempty"`
 }
 
-// setDigest publishes a content address learned after acceptance —
-// streamed submissions only know their trace digest at end-of-stream.
+// setDigest publishes a content address learned after acceptance — a
+// submission only knows its trace digest at end-of-stream.
 func (j *Job) setDigest(d string) {
 	j.mu.Lock()
 	j.digest = d
 	j.mu.Unlock()
 }
 
-// markCached flags a running job that resolved from the result cache
-// (the streamed path's post-upload cache hit).
-func (j *Job) markCached() {
+// holdBytes counts an upload's size in the in-flight gauge until finish
+// releases it. A job already terminal is not counted: its finish may
+// have run. Adding under j.mu orders the add before the release.
+func (j *Job) holdBytes(n int64, inflight *obs.Gauge) {
 	j.mu.Lock()
-	j.cached = true
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	if !j.terminalLocked() {
+		j.traceBytes = n
+		inflight.Add(n)
+	}
+}
+
+// releaseBytes hands back the bytes holdBytes recorded, once.
+func (j *Job) releaseBytes() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := j.traceBytes
+	j.traceBytes = 0
+	return n
 }
 
 func (j *Job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+func (j *Job) viewLocked() jobView {
 	return jobView{
 		ID:       j.id,
 		Kind:     j.kind,
@@ -237,42 +233,47 @@ func (j *Job) tryStart() bool {
 	return true
 }
 
-// cancelQueued moves a queued job to canceled and fires its context.
-// It reports false — without changing anything — when the job already
-// started or finished (the DELETE handler's 409).
-func (j *Job) cancelQueued(now time.Time) bool {
+// cancelQueued moves a queued job to canceled and fires its context,
+// returning the view at the transition. It reports false — without
+// changing anything — when the job already started or finished (the
+// DELETE handler's 409).
+func (j *Job) cancelQueued(now time.Time) (jobView, bool) {
 	j.mu.Lock()
 	if j.status != StatusQueued {
 		j.mu.Unlock()
-		return false
+		return jobView{}, false
 	}
 	j.status = StatusCanceled
 	j.err = "canceled before running"
 	j.finished = now
+	v := j.viewLocked()
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	return true
+	return v, true
 }
 
 // cancelRunning moves a running cancelable job to canceling and fires
 // its context; the worker observes the cancellation in its pipeline and
-// finalizes to canceled. It reports false when the job is not running.
-func (j *Job) cancelRunning() bool {
+// finalizes to canceled. It returns the view at the transition, which
+// the worker may overtake as soon as the context fires, and reports
+// false when the job is not running.
+func (j *Job) cancelRunning() (jobView, bool) {
 	j.mu.Lock()
 	if j.status != StatusRunning {
 		j.mu.Unlock()
-		return false
+		return jobView{}, false
 	}
 	j.status = StatusCanceling
+	v := j.viewLocked()
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	return true
+	return v, true
 }
 
 // finalizeCanceled completes a canceling job's teardown: the worker
@@ -292,10 +293,13 @@ func (j *Job) statusNow() string {
 	return j.status
 }
 
-func (j *Job) complete(r *Result) {
+// complete finishes an optimization job with its result; cached marks
+// one answered from the result cache.
+func (j *Job) complete(r *Result, cached bool) {
 	j.mu.Lock()
 	j.status = StatusDone
 	j.result = r
+	j.cached = cached
 	j.finished = time.Now()
 	cancel := j.cancel
 	j.mu.Unlock()
@@ -340,10 +344,9 @@ func (j *Job) fail(err error) {
 	}
 }
 
-// done reports whether the job reached a terminal state.
-func (j *Job) done() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// terminalLocked reports whether the job reached a terminal state;
+// j.mu must be held.
+func (j *Job) terminalLocked() bool {
 	return j.status == StatusDone || j.status == StatusFailed || j.status == StatusCanceled
 }
 
@@ -359,7 +362,7 @@ func (j *Job) wallMS() float64 {
 func (j *Job) terminal() (fin time.Time, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status == StatusDone || j.status == StatusFailed || j.status == StatusCanceled {
+	if j.terminalLocked() {
 		return j.finished, true
 	}
 	return time.Time{}, false

@@ -84,17 +84,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("layoutd_jobs_tracked", "Job-status records held (bounded by retention).",
 		func() int64 { return int64(s.JobsTracked()) })
 	m.inflightBytes = r.Gauge("layoutd_inflight_bytes",
-		"Trace bytes held by queued and running jobs.")
+		"Uploaded trace bytes of accepted jobs that have not finished.")
 	m.spansDropped = r.Counter("layoutd_spans_dropped_total",
 		"Spans lost to per-job trace buffer bounds.")
 	m.streamJobs = r.Counter("layoutd_stream_jobs_total",
-		"Submissions analyzed while uploading (feed-mode ingest).")
+		"Optimization submissions accepted into the streaming submit pipeline.")
 	m.streamChunks = r.Counter("layoutd_stream_chunks_total",
-		"Decoded chunks fed into streaming analyses.")
+		"Decoded chunks fed into optimizer feeds.")
 	m.uploadResumes = r.Counter("layoutd_upload_resumes_total",
 		"Upload appends that resumed a session after an interrupted PATCH.")
 	r.GaugeFunc("layoutd_stream_buffered_bytes",
-		"Decoded chunk bytes in flight across streaming submissions (bounded per stream by -stream-window).",
+		"Decoded chunk bytes in flight across submissions (bounded per submission by -stream-window).",
 		func() int64 { return s.streamBytes.Load() })
 	r.GaugeFunc("layoutd_stream_buffered_peak_bytes",
 		"High-water mark of in-flight decoded chunk bytes.",

@@ -1,19 +1,19 @@
 // Package server implements layoutd, the layout-optimization service:
 // an HTTP layer over the repository's trace format and optimizer suite.
 // Clients stream a CLTR binary trace to POST /v1/jobs together with a
-// suite-program name and an optimizer name; the server decodes the
-// upload incrementally (trace.Decoder), queues an optimization job on a
-// bounded worker pool (parallel.Pool) with per-job deadline and
-// backpressure (429 when the queue is full), and stores completed
-// results in a content-addressed cache keyed by the SHA-256 of the
-// trace bytes plus the optimizer and its parameters, so resubmitting
-// the same profile never recomputes.
+// suite-program name and an optimizer name; the server queues an
+// optimization job on a bounded worker pool (parallel.Pool) with
+// per-job deadline and backpressure (429 when the queue is full), and
+// stores completed results in a content-addressed cache keyed by the
+// SHA-256 of the trace bytes plus the optimizer and its parameters, so
+// resubmitting the same profile never recomputes.
 //
-// With Config.StreamWindow > 0, feed-capable optimizers analyze the
-// trace while it uploads (see stream.go): decoded chunks flow through a
-// bounded ring into the analysis kernels, so memory stays O(window) no
-// matter how large the trace, and the result is byte-identical to the
-// buffered pipeline's. Config.Uploads additionally enables resumable
+// Every submission takes one pipeline (see stream.go): the upload is
+// decoded chunk by chunk (trace.Decoder) into a bounded ring that the
+// job's worker feeds into the optimizer's core.Feed while the bytes
+// still arrive, so decoded memory stays O(Config.StreamWindow) however
+// large the trace, and the result is the one core.OptimizeCtx computes
+// on the decoded trace. Config.Uploads additionally enables resumable
 // chunked uploads (see uploads.go) for traces too large or too flaky
 // to submit in one request. GET /metrics exposes counters and
 // per-optimizer latency histograms with no external dependencies.
@@ -76,12 +76,9 @@ import (
 	"codelayout/internal/cluster"
 	"codelayout/internal/core"
 	"codelayout/internal/ir"
-	"codelayout/internal/layout"
 	"codelayout/internal/obs"
 	"codelayout/internal/parallel"
-	"codelayout/internal/stats"
 	"codelayout/internal/store"
-	"codelayout/internal/trace"
 )
 
 // Config sizes the service.
@@ -131,12 +128,11 @@ type Config struct {
 	// MaxScheduleDigests bounds the layouts one /v1/schedule request may
 	// place; 0 means DefaultMaxScheduleDigests.
 	MaxScheduleDigests int
-	// StreamWindow bounds the decoded-chunk memory of one streamed
-	// submission, in bytes. > 0 enables feed-mode ingest: uploads whose
-	// optimizer supports it are analyzed while they arrive, with at most
-	// this much decoded trace in flight (the TCP stream stalls when the
-	// analysis falls behind). 0 disables streaming: every upload is fully
-	// decoded before analysis, as before.
+	// StreamWindow bounds the decoded-chunk memory of one submission, in
+	// bytes: at most this much decoded trace is in flight between the
+	// upload and the job's worker, and the TCP stream stalls when the
+	// worker falls behind or has not started. <= 0 means
+	// DefaultStreamWindow.
 	StreamWindow int64
 	// Uploads is the optional resumable-upload session manager backing
 	// POST /v1/uploads and friends; the chunked path for traces too large
@@ -171,10 +167,7 @@ const (
 	DefaultMaxJobs            = 4096
 	DefaultTraceCacheEntries  = 32
 	DefaultMaxScheduleDigests = 32
-	// DefaultStreamWindow is cmd/layoutd's -stream-window default. The
-	// Config zero value keeps streaming off (the embedding caller opts
-	// in); the daemon streams by default.
-	DefaultStreamWindow = 8 << 20
+	DefaultStreamWindow       = 8 << 20
 )
 
 // Server is the layoutd service state. Create with New, serve
@@ -219,8 +212,9 @@ type Server struct {
 	// per job.
 	arenas sync.Pool
 
-	// optimize runs one validated job request; tests substitute it to
-	// control timing and failure modes.
+	// optimize completes one job whose upload was fed and missed the
+	// result cache; tests substitute it to control timing and failure
+	// modes.
 	optimize func(ctx context.Context, req *jobRequest) (*Result, error)
 
 	// pairAnalysis runs one co-run pair analysis; tests substitute it to
@@ -263,6 +257,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxScheduleDigests <= 0 {
 		cfg.MaxScheduleDigests = DefaultMaxScheduleDigests
+	}
+	if cfg.StreamWindow <= 0 {
+		cfg.StreamWindow = DefaultStreamWindow
 	}
 	// The durable tier the caches see: the raw store when single-node,
 	// or the cluster wrapper — which adds peer fetch-through on local
@@ -380,7 +377,7 @@ func New(cfg Config) *Server {
 	s.pool.SetQueueWaitHook(func(wait time.Duration) {
 		s.metrics.queueWait.Observe(wait.Seconds())
 	})
-	s.optimize = s.runOptimize
+	s.optimize = s.finishOptimize
 	s.pairAnalysis = s.computePair
 	s.now = time.Now
 	// The forward* wrappers are identity when Cluster is nil; clustered,
@@ -524,18 +521,6 @@ func (sub *submission) resolve(s *Server, progName, optName, pruneStr string) er
 	return nil
 }
 
-// canStream reports whether this submission takes the feed-mode path:
-// streaming enabled and the optimizer — at this request's prune bound —
-// able to analyze the trace while it uploads.
-func (s *Server) canStream(sub *submission) bool {
-	if s.cfg.StreamWindow <= 0 {
-		return false
-	}
-	opt := sub.opt
-	opt.PruneTopN = sub.pruneTopN
-	return opt.FeedSupported(sub.prog)
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, sub := s.newSubmissionCtx(r)
 
@@ -555,126 +540,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.canStream(sub) {
-		s.streamSubmit(ctx, w, body, sub)
-		return
-	}
-
-	tr, hr, err := decodeUpload(ctx, body)
-	if err != nil {
-		sub.logger.Warn("trace decode failed", "error", err)
-		httpError(w, badBodyStatus(err), err)
-		return
-	}
-	s.finishBufferedSubmit(ctx, w, sub, tr, hr.Sum(), hr.BytesRead())
-}
-
-// finishBufferedSubmit is the back half of a fully-decoded submission:
-// validate the trace against the program, retain it, and queue the job
-// (or answer instantly from the content-addressed cache). Shared by the
-// buffered POST /v1/jobs path and the non-streaming upload finalize.
-func (s *Server) finishBufferedSubmit(ctx context.Context, w http.ResponseWriter, sub *submission, tr *trace.Trace, traceDigest string, traceBytes int64) {
-	if tr.Len() == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("trace is empty"))
-		return
-	}
-	if max := tr.MaxSym(); int(max) >= sub.prog.NumBlocks() {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("trace symbol %d out of range for %s (%d blocks); is this a basic-block trace of the named program?",
-				max, sub.progName, sub.prog.NumBlocks()))
-		return
-	}
-
-	// Retain the decoded trace so /v1/corun and /v1/schedule can replay
-	// this profile later by digest, without a re-upload.
-	s.traces.put(ctx, traceDigest, tr)
-
-	req := &jobRequest{
-		prog:        sub.prog,
-		progName:    sub.progName,
-		opt:         sub.opt,
-		pruneTopN:   sub.pruneTopN,
-		trace:       tr,
-		traceDigest: traceDigest,
-		deadline:    time.Now().Add(s.cfg.JobTimeout),
-	}
-	req.digest = resultDigest(req.traceDigest, sub.progName, sub.optName, sub.pruneTopN)
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	req.ctx = jobCtx
-
-	j := &Job{
-		id:       s.newJobID(),
-		status:   StatusQueued,
-		digest:   req.digest,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  sub.traceID,
-		rec:      sub.rec,
-		progName: sub.progName,
-		optName:  sub.optName,
-	}
-	j.logger = sub.logger.With("job", j.id)
-
-	// Content-addressed fast path: an identical (trace, optimizer,
-	// params) submission completes instantly from the cache.
-	if res, ok := s.cache.get(ctx, req.digest); ok {
-		j.cached = true
-		j.complete(res)
-		s.storeJob(j)
-		s.metrics.accepted.Inc()
-		s.metrics.cacheHits.Inc()
-		s.finish(j)
-		writeJSON(w, http.StatusOK, j.view())
-		return
-	}
-
-	// Account the trace bytes as in flight before the submit: once the
-	// pool has the task, a worker may reach finish (which releases them)
-	// at any moment.
-	j.traceBytes = traceBytes
-	s.metrics.inflightBytes.Add(j.traceBytes)
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runJob(poolCtx, j, req)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
-		s.metrics.inflightBytes.Add(-j.traceBytes)
-		s.metrics.rejected.Inc()
-		sub.logger.Warn("job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
-		return
-	}
-	s.metrics.accepted.Inc()
-	j.logger.Info("job accepted",
-		"prog", sub.progName, "opt", sub.optName, "prune", sub.pruneTopN,
-		"trace_bytes", traceBytes, "trace_refs", tr.Len(), "digest", req.digest)
-	writeJSON(w, http.StatusAccepted, j.view())
-}
-
-// decodeUpload decodes the streamed CLTR body while fingerprinting and
-// counting its bytes, under a trace.decode span. Trailing bytes are
-// drained so the digest covers the whole upload.
-func decodeUpload(ctx context.Context, body io.Reader) (*trace.Trace, *trace.HashingReader, error) {
-	sp := obs.StartSpan(ctx, "trace.decode")
-	defer sp.End()
-	hr := trace.NewHashingReader(body)
-	dec, err := trace.NewDecoder(hr)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, err := dec.Decode()
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := io.Copy(io.Discard, hr); err != nil {
-		return nil, nil, err
-	}
-	sp.SetAttr("bytes", hr.BytesRead())
-	sp.SetAttr("refs", int64(tr.Len()))
-	return tr, hr, nil
+	s.streamSubmit(ctx, w, body, sub)
 }
 
 // maxFormFieldBytes bounds the prog/opt/prune multipart form fields;
@@ -769,16 +635,18 @@ func (s *Server) beginJob(poolCtx context.Context, j *Job, deadline time.Time, r
 	stop := context.AfterFunc(reqCtx, cancel)
 	cleanup := func() { stop(); cancel() }
 	ctx = obs.WithTraceID(obs.WithLogger(obs.WithRecorder(ctx, j.rec), j.logger), j.traceID)
+	// Start before the expiry check: a DELETE while queued also fires
+	// reqCtx, and must leave the job canceled, not failed.
+	if !j.tryStart() {
+		// Canceled while queued: the DELETE handler already counted it.
+		cleanup()
+		return nil, nil, false
+	}
 	if err := ctx.Err(); err != nil {
 		cleanup()
 		j.fail(fmt.Errorf("job expired before running: %w", err))
 		s.metrics.failed.Inc()
 		s.finish(j)
-		return nil, nil, false
-	}
-	if !j.tryStart() {
-		// Canceled while queued: the DELETE handler already counted it.
-		cleanup()
 		return nil, nil, false
 	}
 	j.logger.Info("job started",
@@ -800,35 +668,6 @@ func (s *Server) failOrCancel(j *Job, err error) {
 	s.finish(j)
 }
 
-// runJob is the pool task behind POST /v1/jobs: run the optimization
-// and publish the result to the content-addressed cache. The job's
-// recorder, logger, and trace ID ride the pipeline context from here
-// down.
-func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		return
-	}
-	defer cleanup()
-	start := time.Now()
-	sp := obs.StartSpan(ctx, "optimize")
-	res, err := s.optimize(ctx, req)
-	sp.End()
-	if err != nil {
-		j.fail(err)
-		s.metrics.failed.Inc()
-		s.finish(j)
-		return
-	}
-	elapsed := time.Since(start)
-	res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	s.cache.put(ctx, res)
-	j.complete(res)
-	s.metrics.completed.Inc()
-	s.metrics.latency.With(req.opt.Name()).Observe(res.ElapsedMS)
-	s.finish(j)
-}
-
 // finish is the single exit point for every terminal job: fold the
 // job's spans into the per-phase histograms, release its in-flight
 // bytes, push a summary onto the debug ring, and log the outcome. Call
@@ -839,8 +678,8 @@ func (s *Server) finish(j *Job) {
 		spans, _ = j.rec.Snapshot()
 	}
 	s.metrics.observePhases(spans)
-	if j.traceBytes > 0 {
-		s.metrics.inflightBytes.Add(-j.traceBytes)
+	if n := j.releaseBytes(); n > 0 {
+		s.metrics.inflightBytes.Add(-n)
 	}
 	v := j.view()
 	sum := jobSummary{
@@ -881,40 +720,6 @@ func (s *Server) finish(j *Job) {
 	}
 }
 
-// runOptimize is the real pipeline: optimize the uploaded profile, then
-// replay the same trace through the original and optimized layouts to
-// report the simulated miss ratios before and after.
-func (s *Server) runOptimize(ctx context.Context, req *jobRequest) (*Result, error) {
-	opt := req.opt
-	opt.PruneTopN = req.pruneTopN
-	opt.Workers = s.cfg.OptWorkers
-	opt.Arena = s.getArena()
-	defer s.putArena(opt.Arena)
-	prof := &core.Profile{Prog: req.prog, Blocks: req.trace}
-	l, rep, err := opt.OptimizeCtx(ctx, prof)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("job deadline exceeded after optimization: %w", err)
-	}
-	cfg := cachesim.L1IDefault
-	before := cachesim.SimulateSoloCtx(ctx, cfg,
-		layout.NewReplayer(layout.Original(req.prog), req.trace, cfg.LineBytes, false)).Stats.MissRatio()
-	after := cachesim.SimulateSoloCtx(ctx, cfg,
-		layout.NewReplayer(l, req.trace, cfg.LineBytes, false)).Stats.MissRatio()
-	return &Result{
-		Digest:        req.digest,
-		TraceDigest:   req.traceDigest,
-		Prog:          req.progName,
-		Optimizer:     req.opt.Name(),
-		Report:        rep,
-		MissBefore:    before,
-		MissAfter:     after,
-		MissReduction: stats.Reduction(before, after),
-	}, nil
-}
-
 // ---- reads ----
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -944,17 +749,20 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	if j.cancelQueued(s.now()) {
+	if v, ok := j.cancelQueued(s.now()); ok {
 		s.metrics.canceled.Inc()
 		s.finish(j)
-		writeJSON(w, http.StatusOK, j.view())
+		writeJSON(w, http.StatusOK, v)
 		return
 	}
-	if (j.kind == jobKindCorun || j.kind == jobKindSchedule) && j.cancelRunning() {
-		// The worker observes the fired context, finalizes the status to
-		// canceled, and counts it; the client polls GET /v1/jobs/{id}.
-		writeJSON(w, http.StatusAccepted, j.view())
-		return
+	if j.kind == jobKindCorun || j.kind == jobKindSchedule {
+		if v, ok := j.cancelRunning(); ok {
+			// The worker observes the fired context, finalizes the status
+			// to canceled, and counts it; the client polls GET
+			// /v1/jobs/{id}.
+			writeJSON(w, http.StatusAccepted, v)
+			return
+		}
 	}
 	httpError(w, http.StatusConflict,
 		fmt.Errorf("job %s is %s; only queued jobs (or running corun/schedule jobs) can be canceled", id, j.statusNow()))

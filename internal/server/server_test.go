@@ -247,9 +247,10 @@ func TestCacheHit(t *testing.T) {
 	}
 
 	v2, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt=func-trg")
-	if code != http.StatusOK {
-		t.Fatalf("resubmit status %d, want 200", code)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit status %d, want 202", code)
 	}
+	v2 = waitJob(t, ts, v2.ID)
 	if !v2.Cached || v2.Status != StatusDone || v2.Result == nil {
 		t.Fatalf("resubmit not served from cache: %+v", v2)
 	}
@@ -596,16 +597,18 @@ func TestJobTraceTimeline(t *testing.T) {
 		}
 		byName[sp.Name] = sp
 	}
+	// func-affinity analyzes incrementally, so there is no trace.prune
+	// pass: the feed maps and trims each chunk as it arrives.
 	for _, want := range []string{
-		"queue.wait", "trace.decode", "optimize",
-		"trace.prune", "affinity.hierarchy", "layout.emit", "cachesim.replay",
+		"queue.wait", "stream.decode", "optimize",
+		"stream.feed", "affinity.hierarchy", "layout.emit", "cachesim.replay",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("trace missing span %q (have %v)", want, spanNames(tv.Spans))
 		}
 	}
 	opt := byName["optimize"]
-	for _, child := range []string{"trace.prune", "affinity.hierarchy", "layout.emit"} {
+	for _, child := range []string{"stream.feed", "affinity.hierarchy", "layout.emit"} {
 		c, ok := byName[child]
 		if !ok {
 			continue
@@ -620,12 +623,11 @@ func TestJobTraceTimeline(t *testing.T) {
 	}
 
 	// The phases the trace shows are the phases the histogram counts.
-	exp := scrapeMetrics(t, ts)
+	// finish folds them in just after the job turns done, so wait for it.
 	for _, phase := range []string{"optimize", "affinity.hierarchy", "layout.emit"} {
-		if got := seriesValue(t, exp, "layoutd_phase_seconds_count",
-			map[string]string{"phase": phase}); got < 1 {
-			t.Errorf("layoutd_phase_seconds_count{phase=%q} = %v, want >= 1", phase, got)
-		}
+		waitFor(t, 10*time.Second, "layoutd_phase_seconds_count{phase="+phase+"} >= 1", func() bool {
+			return seriesOrZero(t, ts, "layoutd_phase_seconds_count", map[string]string{"phase": phase}) >= 1
+		})
 	}
 
 	resp2, err := http.Get(ts.URL + "/v1/jobs/nope/trace")
@@ -805,7 +807,10 @@ func TestCacheHitElapsed(t *testing.T) {
 	s.cache.put(context.Background(), &stored)
 
 	hit, code := submitRaw(t, ts, raw, query)
-	if code != http.StatusOK || !hit.Cached || hit.Result == nil {
+	if code == http.StatusAccepted {
+		hit = waitJob(t, ts, hit.ID)
+	}
+	if code != http.StatusAccepted || !hit.Cached || hit.Result == nil {
 		t.Fatalf("resubmit: status %d, view %+v; want a cache hit", code, hit)
 	}
 	if hit.Result.ElapsedMS != storedMS {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"codelayout/internal/cachesim"
+	"codelayout/internal/core"
 	"codelayout/internal/ir"
 	"codelayout/internal/layout"
 	"codelayout/internal/obs"
@@ -18,25 +19,24 @@ import (
 	"codelayout/internal/trace"
 )
 
-// Streamed ingest: when Config.StreamWindow > 0 and the optimizer
-// supports feed mode (core.Optimizer.FeedSupported), POST /v1/jobs no
-// longer buffers the decoded trace before analysis. The request
-// handler becomes the producer — it decodes the upload into fixed-size
-// chunks and tees the raw container bytes to a disk spool — while a
-// pool worker consumes the chunks into the optimizer's feed as they
-// arrive. Decoded memory is bounded by the ring below; when the
-// analysis falls behind, the producer blocks waiting for a recycled
-// buffer and TCP backpressure stalls the client. After end-of-stream
-// the worker finishes the analysis and replays the spool once through
-// two streaming cache simulations (original and optimized layouts) for
-// the before/after miss ratios, so no stage ever holds the whole
-// decoded trace.
+// The submit pipeline. Every upload — POST /v1/jobs, raw or multipart,
+// and resumable-upload finalize — takes this one path, for every
+// optimizer. The request handler is the producer: it decodes the upload
+// into fixed-size chunks, validates them against the program, and tees
+// the raw container bytes to a disk spool. A pool worker is the
+// consumer: it pushes the chunks into the optimizer's core.Feed as they
+// arrive. Decoded memory is bounded by the ring below; when the worker
+// falls behind (or has not started), the producer blocks waiting for a
+// recycled buffer and TCP backpressure stalls the client. After
+// end-of-stream the worker finishes the analysis and replays the spool
+// once through two streaming cache simulations (original and optimized
+// layouts) for the before/after miss ratios.
 //
-// PR 1's deterministic sharded merge is what makes this safe: the feed
-// cuts shards at chunk arrival boundaries, yet the merged result is
-// byte-identical to the buffered pipeline's, so streamed and buffered
-// submissions of the same trace produce the same content-addressed
-// result.
+// Whether the analysis itself runs while the upload arrives is
+// core.Feed's decision: the paper's affinity and TRG kernels do, at a
+// prune bound covering the alphabet; every other optimizer collects the
+// chunks and analyzes at Finish. Either way the Report is the one
+// core.OptimizeCtx computes on the decoded trace.
 
 const (
 	// streamChunkRefs is the decode granularity of the streamed path:
@@ -48,8 +48,8 @@ const (
 	// overlap at all.
 	minStreamBuffers = 3
 	// streamRetainMaxBytes caps the spooled traces retained for later
-	// corun/schedule replay; larger streamed uploads are analyzed but
-	// not kept (re-buffering them would defeat the bounded ingest).
+	// corun/schedule replay; larger uploads are analyzed but not kept
+	// (re-buffering them would defeat the bounded ingest).
 	streamRetainMaxBytes = 16 << 20
 )
 
@@ -59,24 +59,21 @@ const (
 // to the window bound and recycled through free.
 //
 // Shutdown protocol: only the producer closes chunks (always, success
-// or failure, via closeChunks); only the consumer closes done (at most
-// once, via fail). The consumer always drains chunks to the closure,
+// or failure, via closeChunks); only the consumer closes done (via
+// fail). The consumer always drains chunks to the closure (abandon),
 // so neither side can strand the other.
 type streamRing struct {
-	chunks chan []int32
-	free   chan []int32
-	done   chan struct{}
+	chunks   chan []int32
+	free     chan []int32
+	done     chan struct{}
+	failOnce sync.Once
 
 	maxBufs   int
 	allocated int // producer-side only
 	released  bool
 
-	mu          sync.Mutex
-	err         error
-	sealed      bool
-	traceDigest string
-	traceBytes  int64
-	refs        int
+	mu  sync.Mutex
+	err error
 }
 
 func newStreamRing(window int64) *streamRing {
@@ -136,31 +133,29 @@ func (rg *streamRing) recycle(buf []int32) {
 }
 
 // fail aborts the stream from the consumer side (feed error, job
-// canceled before running): the producer unblocks and stops decoding.
-// Call at most once per ring.
+// canceled before running): the producer unblocks and stops decoding,
+// reporting the first error failed with.
 func (rg *streamRing) fail(err error) {
 	rg.mu.Lock()
 	if rg.err == nil {
 		rg.err = err
 	}
 	rg.mu.Unlock()
-	close(rg.done)
+	rg.failOnce.Do(func() { close(rg.done) })
 }
 
-// seal records end-of-stream success: the upload's digest, byte count,
-// and reference count, published to the consumer by the chunks close
-// that follows.
-func (rg *streamRing) seal(digest string, nbytes int64, refs int) {
-	rg.mu.Lock()
-	rg.sealed = true
-	rg.traceDigest = digest
-	rg.traceBytes = nbytes
-	rg.refs = refs
-	rg.mu.Unlock()
+// abandon ends consumption: it unblocks the producer and drains every
+// chunk it still sends. A no-op after the consumer drained a finished
+// upload.
+func (rg *streamRing) abandon() {
+	rg.fail(errors.New("job ended before its upload finished"))
+	for range rg.chunks {
+	}
 }
 
-// closeChunks ends production. A nil perr means seal already ran; a
-// non-nil one poisons the stream so the consumer aborts its feed.
+// closeChunks ends production. A nil perr means the upload completed
+// and its facts are in the jobRequest; a non-nil one poisons the
+// stream so the consumer aborts its feed.
 func (rg *streamRing) closeChunks(perr error) {
 	rg.mu.Lock()
 	if perr != nil && rg.err == nil {
@@ -170,21 +165,12 @@ func (rg *streamRing) closeChunks(perr error) {
 	close(rg.chunks)
 }
 
-func (rg *streamRing) abortErr() error {
+// error returns the error the stream failed with: the consumer's once
+// done is closed, the producer's once chunks is.
+func (rg *streamRing) error() error {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	if rg.err != nil {
-		return rg.err
-	}
-	return errors.New("stream aborted")
-}
-
-// result returns the sealed end-of-stream record; valid after chunks
-// closes.
-func (rg *streamRing) result() (sealed bool, digest string, nbytes int64, refs int, err error) {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	return rg.sealed, rg.traceDigest, rg.traceBytes, rg.refs, rg.err
+	return rg.err
 }
 
 // release returns the ring's buffer accounting to the gauge. Called by
@@ -209,17 +195,27 @@ func (s *Server) addStreamBuffered(n int64) {
 	}
 }
 
-// streamRequest carries one streamed submission to its pool worker.
-type streamRequest struct {
+// jobRequest carries one accepted submission to its pool worker. The
+// worker owns spoolPath from acceptance on and consumes rg. The handler
+// fills in the upload's facts below before closing rg's chunks, so the
+// worker reads them once it has drained the ring; it sets feed itself.
+type jobRequest struct {
 	sub       *submission
+	rg        *streamRing
 	spoolPath string
 	deadline  time.Time
-	// ctx is the job's own lifetime context (DELETE cancellation), as
-	// in jobRequest.
+	// ctx is the job's own lifetime context; DELETE /v1/jobs/{id}
+	// cancels it so the pipeline stops even if the job slipped into
+	// running between the status check and the cancel.
 	ctx context.Context
+
+	feed        *core.Feed
+	traceDigest string
+	traceBytes  int64
+	digest      string
 }
 
-// spoolDir is where streamed submissions spool the raw upload; beside
+// spoolDir is where submissions spool the raw upload; beside
 // the upload sessions when configured, the system temp dir otherwise.
 func (s *Server) spoolDir() string {
 	if s.uploads != nil {
@@ -228,8 +224,8 @@ func (s *Server) spoolDir() string {
 	return ""
 }
 
-// streamSubmit is the feed-mode body of POST /v1/jobs: spool to a temp
-// file while decoding into the ring, analysis already running.
+// streamSubmit is the body of POST /v1/jobs: spool to a temp file while
+// decoding into the ring, the job's worker already consuming.
 func (s *Server) streamSubmit(ctx context.Context, w http.ResponseWriter, body io.Reader, sub *submission) {
 	spool, err := os.CreateTemp(s.spoolDir(), "stream-*.cltr")
 	if err != nil {
@@ -239,17 +235,17 @@ func (s *Server) streamSubmit(ctx context.Context, w http.ResponseWriter, body i
 	s.streamIngest(ctx, w, body, spool, spool.Name(), sub)
 }
 
-// streamIngest runs one streamed submission end to end from the
-// handler goroutine: queue the consumer first (so analysis can start
+// streamIngest runs one submission end to end from the handler
+// goroutine: queue the consumer first (so analysis can start
 // with the first chunk), then produce until end-of-stream, then answer.
 // body is the CLTR byte source; tee, when non-nil, receives a copy of
 // the bytes at spoolPath (the finalize path passes tee nil because the
 // spool already exists). On acceptance the consumer owns spoolPath.
 func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body io.Reader, tee *os.File, spoolPath string, sub *submission) {
-	rg := newStreamRing(s.cfg.StreamWindow)
 	jobCtx, jobCancel := context.WithCancel(context.Background())
-	req := &streamRequest{
+	req := &jobRequest{
 		sub:       sub,
+		rg:        newStreamRing(s.cfg.StreamWindow),
 		spoolPath: spoolPath,
 		deadline:  time.Now().Add(s.cfg.JobTimeout),
 		ctx:       jobCtx,
@@ -267,7 +263,7 @@ func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body i
 	j.logger = sub.logger.With("job", j.id)
 	s.storeJob(j)
 	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runStreamJob(poolCtx, j, req, rg)
+		s.runJob(poolCtx, j, req)
 	})
 	if !accepted {
 		s.dropJob(j.id)
@@ -285,37 +281,42 @@ func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body i
 	s.metrics.accepted.Inc()
 	s.metrics.streamJobs.Inc()
 
-	perr := s.streamProduce(ctx, body, tee, rg)
+	rg := req.rg
+	digest, nbytes, refs, perr := s.streamProduce(ctx, body, tee, sub.prog, rg)
 	if tee != nil {
 		if cerr := tee.Close(); perr == nil && cerr != nil {
 			perr = fmt.Errorf("closing stream spool: %w", cerr)
 		}
 	}
 	if perr == nil {
-		// Publish the seal before the close so the consumer observes it.
-		rg.closeChunks(nil)
-	} else {
-		rg.closeChunks(perr)
+		// The content address is known at end-of-stream; the answer below
+		// carries it.
+		req.traceDigest, req.traceBytes = digest, nbytes
+		req.digest = resultDigest(digest, sub.progName, sub.optName, sub.pruneTopN)
+		j.setDigest(req.digest)
 	}
+	rg.closeChunks(perr)
 	rg.release(s)
 	if perr != nil {
-		sub.logger.Warn("streamed upload failed", "job", j.id, "error", perr)
+		sub.logger.Warn("upload failed", "job", j.id, "error", perr)
 		httpError(w, badBodyStatus(perr), perr)
 		return
 	}
-	_, digest, nbytes, refs, _ := rg.result()
+	j.holdBytes(nbytes, s.metrics.inflightBytes)
 	j.logger.Info("job accepted",
 		"prog", sub.progName, "opt", sub.optName, "prune", sub.pruneTopN,
-		"trace_bytes", nbytes, "trace_refs", refs, "trace_digest", digest,
-		"streamed", true)
+		"trace_bytes", nbytes, "trace_refs", refs, "trace_digest", digest)
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 // streamProduce decodes the upload into ring chunks under a
 // stream.decode span, fingerprinting every byte and teeing the raw
-// container to the spool. On success the ring is sealed with the
-// digest; the caller closes the chunk channel either way.
-func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File, rg *streamRing) error {
+// container to the spool. Each chunk is checked against prog before it
+// is sent, so a trace of the wrong program is a 400 on the upload
+// whether or not its worker has started. It returns the upload's
+// digest, size and reference count; the caller closes the chunk channel
+// either way.
+func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File, prog *ir.Program, rg *streamRing) (digest string, nbytes int64, refs int, err error) {
 	sp := obs.StartSpan(ctx, "stream.decode")
 	defer sp.End()
 	hr := trace.NewHashingReader(body)
@@ -325,22 +326,24 @@ func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File
 	}
 	dec, err := trace.NewDecoder(src)
 	if err != nil {
-		return err
+		return "", 0, 0, err
 	}
 	if dec.Len() == 0 {
-		return errors.New("trace is empty")
+		return "", 0, 0, errors.New("trace is empty")
 	}
-	refs := 0
 	for {
 		buf, ok := rg.getBuf(s)
 		if !ok {
-			return rg.abortErr()
+			return "", 0, 0, rg.error()
 		}
 		n, err := dec.NextChunk(buf)
 		if n > 0 {
+			if cerr := core.CheckBlocks(prog, buf[:n]); cerr != nil {
+				return "", 0, 0, cerr
+			}
 			refs += n
 			if !rg.send(buf[:n]) {
-				return rg.abortErr()
+				return "", 0, 0, rg.error()
 			}
 		} else {
 			rg.recycle(buf)
@@ -349,63 +352,57 @@ func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File
 			break
 		}
 		if err != nil {
-			return err
+			return "", 0, 0, err
 		}
 	}
-	// Drain trailing bytes so the digest covers the whole upload,
-	// matching the buffered decodeUpload.
+	// Drain trailing bytes so the digest covers the whole upload.
 	if _, err := io.Copy(io.Discard, hr); err != nil {
-		return err
+		return "", 0, 0, err
 	}
 	sp.SetAttr("bytes", hr.BytesRead())
 	sp.SetAttr("refs", int64(refs))
-	rg.seal(hr.Sum(), hr.BytesRead(), refs)
-	return nil
+	return hr.Sum(), hr.BytesRead(), refs, nil
 }
 
-// runStreamJob is the pool task behind a streamed submission: consume
-// the ring into the optimizer's feed, finish, simulate, publish.
-func (s *Server) runStreamJob(poolCtx context.Context, j *Job, req *streamRequest, rg *streamRing) {
+// runJob is the pool task behind every submission: consume the ring
+// into the optimizer's feed, then finish, simulate and publish — or
+// answer from the content-addressed cache. The job's recorder, logger,
+// and trace ID ride the pipeline context from here down.
+func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
 	defer os.Remove(req.spoolPath)
+	defer req.rg.abandon()
 	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
 	if !ok {
-		rg.fail(errors.New("job canceled before running"))
-		for range rg.chunks {
-		}
 		return
 	}
 	defer cleanup()
 	start := time.Now()
 	sp := obs.StartSpan(ctx, "optimize")
-	res, cached, err := s.streamOptimize(ctx, j, req, rg)
+	res, cached, err := s.consume(ctx, req)
 	sp.End()
 	if err != nil {
 		s.failOrCancel(j, err)
 		return
 	}
 	if cached {
-		j.markCached()
 		s.metrics.cacheHits.Inc()
-		j.complete(res)
-		s.finish(j)
-		return
+	} else {
+		res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+		s.cache.put(ctx, res)
+		s.metrics.completed.Inc()
+		s.metrics.latency.With(req.sub.optName).Observe(res.ElapsedMS)
 	}
-	elapsed := time.Since(start)
-	res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	s.cache.put(ctx, res)
-	j.complete(res)
-	s.metrics.completed.Inc()
-	s.metrics.latency.With(req.sub.optName).Observe(res.ElapsedMS)
+	j.complete(res, cached)
 	s.finish(j)
 }
 
-// streamOptimize is the consumer half of a streamed submission: feed
-// chunks into the analysis as they decode, then finish and replay the
-// spool for the before/after miss simulation. It always drains the
-// chunk channel to closure, recycling every buffer, so the producer
-// can never wedge on a full ring.
-func (s *Server) streamOptimize(ctx context.Context, j *Job, req *streamRequest, rg *streamRing) (res *Result, cached bool, err error) {
-	sub := req.sub
+// consume is the worker half of a submission: feed chunks into the
+// analysis as they decode, and at end-of-stream resolve the content
+// address — a hit answers from the cache, a miss runs s.optimize. On
+// a feed error it fails the ring so the producer stops at once; runJob
+// drains whatever is left.
+func (s *Server) consume(ctx context.Context, req *jobRequest) (res *Result, cached bool, err error) {
+	sub, rg := req.sub, req.rg
 	opt := sub.opt
 	opt.PruneTopN = sub.pruneTopN
 	opt.Workers = s.cfg.OptWorkers
@@ -414,81 +411,72 @@ func (s *Server) streamOptimize(ctx context.Context, j *Job, req *streamRequest,
 
 	feed, err := opt.NewFeed(ctx, sub.prog)
 	if err != nil {
-		// Unreachable behind the canStream gate; drain defensively.
 		rg.fail(err)
-		for range rg.chunks {
-		}
 		return nil, false, err
 	}
+	defer feed.Abort() // recycles kernel buffers unless Finish ran
 	fsp := obs.StartSpan(ctx, "stream.feed")
-	var feedErr error
 	chunks := 0
 	for buf := range rg.chunks {
-		if feedErr == nil {
-			chunks++
-			s.metrics.streamChunks.Inc()
-			if feedErr = feed.Feed(ctx, buf); feedErr != nil {
-				rg.fail(feedErr) // unblock the producer
-			}
-		}
+		chunks++
+		s.metrics.streamChunks.Inc()
+		err := feed.Feed(ctx, buf)
 		rg.recycle(buf)
+		if err != nil {
+			fsp.End()
+			rg.fail(err)
+			return nil, false, err
+		}
 	}
 	fsp.SetAttr("chunks", int64(chunks))
 	fsp.End()
-	if feedErr != nil {
-		feed.Abort()
-		return nil, false, feedErr
+	if perr := rg.error(); perr != nil {
+		return nil, false, fmt.Errorf("upload failed: %w", perr)
 	}
-	sealed, traceDigest, traceBytes, refs, perr := rg.result()
-	if !sealed {
-		feed.Abort()
-		if perr == nil {
-			perr = errors.New("upload aborted")
-		}
-		return nil, false, fmt.Errorf("streamed upload failed: %w", perr)
-	}
-	if refs == 0 {
-		feed.Abort()
-		return nil, false, errors.New("trace is empty")
-	}
-
-	resultKey := resultDigest(traceDigest, sub.progName, sub.optName, sub.pruneTopN)
-	j.setDigest(resultKey)
-	// Content-addressed fast path, post-upload for streamed jobs: the
-	// digest is only known at end-of-stream.
-	if cres, ok := s.cache.get(ctx, resultKey); ok {
-		feed.Abort()
+	req.feed = feed
+	// Content-addressed fast path: the digest is only known at
+	// end-of-stream.
+	if cres, ok := s.cache.get(ctx, req.digest); ok {
 		return cres, true, nil
 	}
+	res, err = s.optimize(ctx, req)
+	return res, false, err
+}
 
-	l, rep, err := feed.Finish(ctx)
+// finishOptimize is the pipeline's back half, behind s.optimize: finish
+// the fed analysis, replay the spool through the original and optimized
+// layouts for the miss ratios, and retain the trace for co-runs.
+func (s *Server) finishOptimize(ctx context.Context, req *jobRequest) (*Result, error) {
+	sub := req.sub
+	l, rep, err := req.feed.Finish(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("job deadline exceeded after optimization: %w", err)
+		return nil, fmt.Errorf("job deadline exceeded after optimization: %w", err)
 	}
 	before, after, err := s.replaySpool(ctx, sub.prog, l, req.spoolPath)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	s.retainSpool(ctx, traceDigest, req.spoolPath, traceBytes)
+	s.retainSpool(ctx, req.traceDigest, req.spoolPath, req.traceBytes)
 	return &Result{
-		Digest:        resultKey,
-		TraceDigest:   traceDigest,
+		Digest:        req.digest,
+		TraceDigest:   req.traceDigest,
 		Prog:          sub.progName,
 		Optimizer:     sub.opt.Name(),
 		Report:        rep,
 		MissBefore:    before,
 		MissAfter:     after,
 		MissReduction: stats.Reduction(before, after),
-	}, false, nil
+	}, nil
 }
 
 // replaySpool re-decodes the spooled container once, feeding the
 // original and optimized layouts' streaming cache simulations in
 // lockstep — the same one-pass bounded-memory discipline as the ingest
-// itself, and the same miss ratios the buffered pipeline reports.
+// itself, and the same miss ratios cachesim.SimulateSolo reports on the
+// decoded trace.
 func (s *Server) replaySpool(ctx context.Context, prog *ir.Program, l *layout.Layout, path string) (before, after float64, err error) {
 	sp := obs.StartSpan(ctx, "cachesim.replay")
 	defer sp.End()
@@ -523,19 +511,18 @@ func (s *Server) replaySpool(ctx context.Context, prog *ir.Program, l *layout.La
 	return ro.Stats.MissRatio(), rl.Stats.MissRatio(), nil
 }
 
-// retainSpool keeps a streamed trace queryable by digest for the
-// corun/schedule endpoints — durable tier only, and only up to a size
-// cap: re-buffering an arbitrarily large spool would defeat the
-// bounded-memory ingest, so huge streamed traces are analyzed but not
-// retained.
+// retainSpool keeps an uploaded trace queryable by digest for the
+// corun/schedule endpoints, up to a size cap: re-buffering an
+// arbitrarily large spool would defeat the bounded-memory ingest, so
+// huge traces are analyzed but not retained.
 func (s *Server) retainSpool(ctx context.Context, digest, path string, size int64) {
 	if size > streamRetainMaxBytes {
-		obs.Logger(ctx).Info("streamed trace not retained", "trace_digest", digest, "bytes", size)
+		obs.Logger(ctx).Info("trace not retained", "trace_digest", digest, "bytes", size)
 		return
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return
 	}
-	s.traces.putEncoded(ctx, digest, data)
+	s.traces.put(ctx, digest, data)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,7 +16,12 @@ import (
 	"strings"
 	"testing"
 
+	"codelayout/internal/cachesim"
+	"codelayout/internal/core"
+	"codelayout/internal/layout"
+	"codelayout/internal/stats"
 	"codelayout/internal/store"
+	"codelayout/internal/trace"
 )
 
 // streamTestWindow is deliberately tiny — the ring floor of three
@@ -31,50 +37,134 @@ func newStreamServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return newTestServer(t, cfg)
 }
 
-// TestStreamedMatchesBuffered is the tentpole oracle at the HTTP
-// layer: the same trace submitted to a streaming server and a buffered
-// server must produce identical results — same content address, same
-// report, same miss ratios — at analysis concurrency 1 and N.
-func TestStreamedMatchesBuffered(t *testing.T) {
-	raw, _ := recordedTrace(t)
-	for _, workers := range []int{1, 4} {
-		for _, optName := range []string{"func-affinity", "bb-trg"} {
-			t.Run(fmt.Sprintf("%s/workers=%d", optName, workers), func(t *testing.T) {
-				_, buffered := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: workers})
-				_, streamed := newStreamServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: workers})
+// TestServedMatchesLibrary is the serving layer's oracle: for every
+// registered optimizer, at the default prune and at an effective one,
+// at analysis concurrency 1 and N, and through every submit door (raw
+// POST, multipart POST, resumable-upload finalize), the served Result
+// must equal byte for byte the one built from the library —
+// core.OptimizeCtx on the decoded trace plus the two solo cache
+// simulations behind MissBefore and MissAfter. Only ElapsedMS, the
+// computing job's wall time, is exempt.
+func TestServedMatchesLibrary(t *testing.T) {
+	raw, prof := recordedTrace(t)
+	tr, err := trace.ReadFrom(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	traceDigest := hex.EncodeToString(sum[:])
+	// effectivePrune keeps fewer symbols than the program has functions,
+	// so it trims the trace at either granularity.
+	const effectivePrune = 20
+	if prof.Prog.NumFuncs() <= effectivePrune {
+		t.Fatalf("%s has %d functions; prune %d would not bind", testProg, prof.Prog.NumFuncs(), effectivePrune)
+	}
 
-				query := "prog=" + testProg + "&opt=" + optName
-				vb, code := submitRaw(t, buffered, raw, query)
-				if code != http.StatusAccepted {
-					t.Fatalf("buffered submit status %d", code)
-				}
-				vs, code := submitRaw(t, streamed, raw, query)
-				if code != http.StatusAccepted {
-					t.Fatalf("streamed submit status %d", code)
-				}
-				db := waitJob(t, buffered, vb.ID)
-				ds := waitJob(t, streamed, vs.ID)
-				if db.Status != StatusDone || ds.Status != StatusDone {
-					t.Fatalf("jobs: buffered %+v, streamed %+v", db, ds)
-				}
-				rb, rs := db.Result, ds.Result
-				if rb == nil || rs == nil {
-					t.Fatal("missing results")
-				}
-				// ElapsedMS is wall time, everything else must agree
-				// byte for byte.
-				rb.ElapsedMS, rs.ElapsedMS = 0, 0
-				bj, _ := json.Marshal(rb)
-				sj, _ := json.Marshal(rs)
-				if !bytes.Equal(bj, sj) {
-					t.Errorf("streamed result diverges from buffered:\nbuffered: %s\nstreamed: %s", bj, sj)
-				}
-				if ds.Digest == "" || ds.Digest != db.Digest {
-					t.Errorf("streamed job digest %q, buffered %q", ds.Digest, db.Digest)
+	library := func(optName string, prune int) []byte {
+		opt, err := core.OptimizerByName(optName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.PruneTopN = prune
+		opt.Workers = 1
+		l, rep, err := opt.OptimizeCtx(context.Background(), &core.Profile{Prog: prof.Prog, Blocks: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prune == effectivePrune && rep.Retention >= 1 {
+			t.Fatalf("%s: prune %d kept the whole trace", optName, prune)
+		}
+		cfg := cachesim.L1IDefault
+		before := cachesim.SimulateSolo(cfg,
+			layout.NewReplayer(layout.Original(prof.Prog), tr, cfg.LineBytes, false)).Stats.MissRatio()
+		after := cachesim.SimulateSolo(cfg,
+			layout.NewReplayer(l, tr, cfg.LineBytes, false)).Stats.MissRatio()
+		want, _ := json.Marshal(&Result{
+			Digest:        resultDigest(traceDigest, testProg, optName, prune),
+			TraceDigest:   traceDigest,
+			Prog:          testProg,
+			Optimizer:     optName,
+			Report:        rep,
+			MissBefore:    before,
+			MissAfter:     after,
+			MissReduction: stats.Reduction(before, after),
+		})
+		return want
+	}
+
+	doors := []struct {
+		name   string
+		submit func(t *testing.T, ts *httptest.Server, query string) jobView
+	}{
+		{"raw", func(t *testing.T, ts *httptest.Server, query string) jobView {
+			v, code := submitRaw(t, ts, raw, query)
+			if code != http.StatusAccepted {
+				t.Fatalf("raw submit status %d", code)
+			}
+			return v
+		}},
+		{"multipart", func(t *testing.T, ts *httptest.Server, query string) jobView {
+			var body bytes.Buffer
+			mw := multipart.NewWriter(&body)
+			fw, _ := mw.CreateFormFile("trace", "t.cltr")
+			fw.Write(raw)
+			mw.Close()
+			return postJob(t, ts.URL+"/v1/jobs?"+query, mw.FormDataContentType(), &body)
+		}},
+		{"upload", func(t *testing.T, ts *httptest.Server, query string) jobView {
+			up := uploadCreate(t, ts)
+			if resp, body := uploadPatch(t, ts, up.ID, 0, raw); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("PATCH status %d: %s", resp.StatusCode, body)
+			}
+			return postJob(t, ts.URL+"/v1/uploads/"+up.ID+"/finalize?"+query, "", nil)
+		}},
+	}
+
+	for _, optName := range core.OptimizerNames() {
+		want := map[int][]byte{0: library(optName, 0), effectivePrune: library(optName, effectivePrune)}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", optName, workers), func(t *testing.T) {
+				t.Parallel()
+				for _, door := range doors {
+					// A server per door: a second door on the same server
+					// would be answered from the result cache.
+					_, ts := newUploadServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: workers})
+					for _, prune := range []int{0, effectivePrune} {
+						query := fmt.Sprintf("prog=%s&opt=%s&prune=%d", testProg, optName, prune)
+						done := waitJob(t, ts, door.submit(t, ts, query).ID)
+						if done.Status != StatusDone || done.Result == nil || done.Cached {
+							t.Fatalf("%s prune=%d: job %+v", door.name, prune, done)
+						}
+						done.Result.ElapsedMS = 0
+						got, _ := json.Marshal(done.Result)
+						if !bytes.Equal(got, want[prune]) {
+							t.Errorf("%s prune=%d: served result diverges from the library:\nserved:  %s\nlibrary: %s",
+								door.name, prune, got, want[prune])
+						}
+					}
 				}
 			})
 		}
 	}
+}
+
+// postJob posts body to url and decodes the accepted job.
+func postJob(t *testing.T, url, contentType string, body io.Reader) jobView {
+	t.Helper()
+	resp, err := http.Post(url, contentType, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, raw)
+	}
+	var v jobView
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("bad job JSON %s: %v", raw, err)
+	}
+	return v
 }
 
 // TestStreamedCacheHit: resubmitting a streamed trace resolves from
@@ -133,25 +223,20 @@ func TestStreamedBadUploads(t *testing.T) {
 	}
 }
 
-// TestStreamedFeedErrorFailsJob: a consumer-side failure (a trace
-// referencing blocks the program doesn't have) aborts the stream. The
-// error reaches the client either on the POST itself (the feed failed
-// while the body was still arriving) or as a failed job (the upload
-// completed first) — both ends of the race leave a clear record.
+// TestStreamedFeedErrorFailsJob: a trace referencing, past its first
+// symbols, blocks the program doesn't have is rejected on the POST
+// itself — the producer checks every chunk before the worker sees it —
+// and the job it started fails with the same error.
 func TestStreamedFeedErrorFailsJob(t *testing.T) {
 	_, ts := newStreamServer(t, Config{JobWorkers: 1, QueueDepth: 8, OptWorkers: 1})
 	body := encodeTrace(t, []int32{0, 1, 1 << 24})
-	v, code := submitRaw(t, ts, body, "prog="+testProg+"&opt=func-affinity")
-	switch code {
-	case http.StatusBadRequest:
-		return // producer observed the abort before end-of-stream
-	case http.StatusAccepted:
-		done := waitJob(t, ts, v.ID)
-		if done.Status != StatusFailed || !strings.Contains(done.Error, "references block") {
-			t.Fatalf("job = %+v, want failed mentioning the bad block", done)
-		}
-	default:
-		t.Fatalf("submit status %d, want 400 or 202", code)
+	msg, code := errorBody(t, ts, body, "prog="+testProg+"&opt=func-affinity")
+	if code != http.StatusBadRequest || !strings.Contains(msg, "out of range") {
+		t.Fatalf("submit: status %d, error %q; want 400 mentioning the bad block", code, msg)
+	}
+	done := waitJob(t, ts, "job-1")
+	if done.Status != StatusFailed || !strings.Contains(done.Error, "out of range") {
+		t.Fatalf("job = %+v, want failed mentioning the bad block", done)
 	}
 }
 
@@ -208,6 +293,34 @@ func TestStreamMetricsAndSpans(t *testing.T) {
 	}
 	if !haveDecode || !haveFeed {
 		t.Errorf("waterfall missing stream spans (decode=%v feed=%v): %+v", haveDecode, haveFeed, tv.Spans)
+	}
+
+	// A TRG feed's construction finishes at end-of-stream under its own
+	// span, as in trg.SequenceCtx.
+	v, code = submitRaw(t, ts, raw, "prog="+testProg+"&opt=func-trg")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	if done := waitJob(t, ts, v.ID); done.Status != StatusDone {
+		t.Fatalf("job %+v", done)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + v.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	tv = traceView{}
+	if err := json.NewDecoder(resp.Body).Decode(&tv); err != nil {
+		t.Fatal(err)
+	}
+	var build *spanView
+	for i := range tv.Spans {
+		if tv.Spans[i].Name == "trg.build" {
+			build = &tv.Spans[i]
+		}
+	}
+	if build == nil || build.Attrs["nodes"] <= 0 {
+		t.Errorf("TRG job's waterfall lacks a trg.build span with nodes > 0: %+v", tv.Spans)
 	}
 }
 
@@ -352,9 +465,9 @@ func TestUploadResumableEndToEnd(t *testing.T) {
 	}
 }
 
-// TestUploadFinalizeBufferedFallback: an optimizer without feed
-// support still works through the chunked-upload door — the sealed
-// spool is decoded whole and takes the buffered pipeline.
+// TestUploadFinalizeBufferedFallback: an optimizer without incremental
+// analysis works through the chunked-upload door too — its feed
+// collects the sealed spool's chunks and analyzes them at Finish.
 func TestUploadFinalizeBufferedFallback(t *testing.T) {
 	raw, _ := recordedTrace(t)
 	_, ts := newUploadServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 1})

@@ -47,47 +47,32 @@ func newTraceCache(max int, disk blobStore) *traceCache {
 	}
 }
 
-// put retains a freshly decoded upload under the upload's digest (the
-// key Result.TraceDigest records). The durable write re-encodes the
-// trace to canonical CLTR behind the request path (store.Put is
-// write-behind); a digest already held in memory is only refreshed in
-// LRU order, its bytes are not re-encoded.
-func (c *traceCache) put(ctx context.Context, digest string, tr *trace.Trace) {
-	if !c.putMemory(digest, tr) || c.disk == nil {
+// put retains an uploaded CLTR container under its digest (the key
+// Result.TraceDigest records). With a durable tier the bytes go to disk
+// as they are — the uploaded encoding is canonical, varint encodings
+// being unique — and a later get decodes them into memory; memory-only,
+// they are decoded into the LRU now.
+func (c *traceCache) put(ctx context.Context, digest string, data []byte) {
+	if c.disk != nil {
+		sp := obs.StartSpan(ctx, "store.write")
+		sp.SetAttr("bytes", int64(len(data)))
+		c.disk.Put(traceStoreKey+digest, data)
+		sp.End()
 		return
 	}
-	sp := obs.StartSpan(ctx, "store.write")
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err == nil {
-		sp.SetAttr("bytes", int64(buf.Len()))
-		c.disk.Put(traceStoreKey+digest, buf.Bytes())
+	if tr, err := trace.ReadFrom(bytes.NewReader(data)); err == nil {
+		c.putMemory(digest, tr)
 	}
-	sp.End()
 }
 
-// putEncoded retains an already-encoded CLTR container under its
-// digest, durable tier only — streamed uploads are never re-buffered
-// into the memory tier; a later get decodes from disk and repopulates
-// it. The uploaded bytes are the canonical encoding (varint encodings
-// are unique), so this matches what put would have written.
-func (c *traceCache) putEncoded(ctx context.Context, digest string, data []byte) {
-	if c.disk == nil {
-		return
-	}
-	sp := obs.StartSpan(ctx, "store.write")
-	sp.SetAttr("bytes", int64(len(data)))
-	c.disk.Put(traceStoreKey+digest, data)
-	sp.End()
-}
-
-// putMemory inserts into the LRU tier only; it reports false when the
-// digest was already held (refreshed in place, nothing to persist).
-func (c *traceCache) putMemory(digest string, tr *trace.Trace) bool {
+// putMemory inserts into the LRU tier only; a digest already held is
+// refreshed in place.
+func (c *traceCache) putMemory(digest string, tr *trace.Trace) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[digest]; ok {
 		c.order.MoveToFront(e)
-		return false
+		return
 	}
 	c.entries[digest] = c.order.PushFront(&traceEntry{digest: digest, tr: tr})
 	for len(c.entries) > c.max {
@@ -95,7 +80,6 @@ func (c *traceCache) putMemory(digest string, tr *trace.Trace) bool {
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*traceEntry).digest)
 	}
-	return true
 }
 
 // get returns the retained trace for the digest, consulting the durable

@@ -116,9 +116,9 @@ func (s *Server) handleUploadDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUploadFinalize seals the session and submits its spooled bytes
-// as an optimization job — streamed from disk through the feed-mode
-// pipeline when supported (the spool becomes the job's replay source
-// directly; nothing is re-buffered), fully decoded otherwise.
+// as an optimization job, streamed from disk through the submit
+// pipeline: the spool becomes the job's replay source directly, nothing
+// is re-buffered.
 func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 	ctx, sub := s.newSubmissionCtx(r)
 	q := r.URL.Query()
@@ -147,18 +147,7 @@ func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 	sub.logger.Info("upload finalized", "upload", id, "bytes", size,
 		"prog", sub.progName, "opt", sub.optName)
 
-	if s.canStream(sub) {
-		// The sealed spool is already on disk: no tee, and the consumer
-		// takes ownership of the file for its replay pass.
-		s.streamIngest(ctx, w, f, nil, path, sub)
-		return
-	}
-	tr, hr, err := decodeUpload(ctx, f)
-	os.Remove(path)
-	if err != nil {
-		sub.logger.Warn("trace decode failed", "upload", id, "error", err)
-		httpError(w, badBodyStatus(err), err)
-		return
-	}
-	s.finishBufferedSubmit(ctx, w, sub, tr, hr.Sum(), hr.BytesRead())
+	// The sealed spool is already on disk: no tee, and the job's worker
+	// takes ownership of the file for its replay pass.
+	s.streamIngest(ctx, w, f, nil, path, sub)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // File format: the instrumentation phase of the paper's system records
@@ -158,7 +159,39 @@ func (d *Decoder) NextChunk(dst []int32) (int, error) {
 	if d.read >= d.count {
 		return 0, io.EOF
 	}
-	for n := range dst {
+	n := 0
+	for n < len(dst) {
+		// Fast path: decode the varints held whole in the read buffer
+		// in place. It stops short of a varint split across refills and
+		// of anything invalid, which Next then refills for or reports.
+		buf, _ := d.br.Peek(d.br.Buffered())
+		used, prev, left := 0, d.prev, min(d.count-d.read, uint64(len(dst)-n))
+		start := n
+		for ; left > 0 && used < len(buf); left-- {
+			var delta int64
+			k := 1
+			if c := buf[used]; c < 0x80 {
+				// One-byte varint, the common case: inline zig-zag.
+				delta = int64(c>>1) ^ -int64(c&1)
+			} else if delta, k = binary.Varint(buf[used:]); k <= 0 {
+				break
+			}
+			s := prev + delta
+			if s < 0 || s > 1<<30 {
+				break
+			}
+			prev = s
+			dst[n] = int32(s)
+			n++
+			used += k
+		}
+		d.prev = prev
+		d.read += uint64(n - start)
+		d.br.Discard(used)
+		d.off += int64(used)
+		if n == len(dst) {
+			break
+		}
 		s, err := d.Next()
 		if err != nil {
 			if err == io.EOF {
@@ -167,8 +200,9 @@ func (d *Decoder) NextChunk(dst []int32) (int, error) {
 			return n, err
 		}
 		dst[n] = s
+		n++
 	}
-	return len(dst), nil
+	return n, nil
 }
 
 // Decode drains the remaining occurrences into a Trace. The initial
@@ -180,16 +214,18 @@ func (d *Decoder) Decode() (*Trace, error) {
 		capHint = 1 << 20
 	}
 	syms := make([]int32, 0, capHint)
-	for {
-		s, err := d.Next()
-		if err == io.EOF {
-			return &Trace{Syms: syms}, nil
+	for d.read < d.count {
+		if len(syms) == cap(syms) {
+			// Past the capped hint, grow with the validated payload.
+			syms = slices.Grow(syms, int(min(d.count-d.read, uint64(len(syms)))))
 		}
+		n, err := d.NextChunk(syms[len(syms):cap(syms)])
+		syms = syms[:len(syms)+n]
 		if err != nil {
 			return nil, err
 		}
-		syms = append(syms, s)
 	}
+	return &Trace{Syms: syms}, nil
 }
 
 // noEOF converts a bare io.EOF inside a container into

@@ -176,9 +176,11 @@ func TestNextChunkZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// FuzzChunkedDecode: for arbitrary container bytes and chunk sizes, the
-// chunked decoder must agree with the one-shot decoder on both the
-// accepted prefix and the accept/reject verdict — and never panic.
+// FuzzChunkedDecode: for arbitrary container bytes and chunk sizes,
+// Decode and the chunked decoder must agree with the reference — Next,
+// one occurrence at a time — on the accepted prefix, the accept/reject
+// verdict and the error, also when the bytes arrive one read at a time
+// and split every varint across buffer refills; and never panic.
 func FuzzChunkedDecode(f *testing.F) {
 	for _, syms := range [][]int32{
 		{},
@@ -198,24 +200,53 @@ func FuzzChunkedDecode(f *testing.F) {
 	f.Add([]byte("CLTR\x01\x02\xfe\xff\xff\xff\x0f"), uint16(64)) // past symbol cap
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
-		d1, err1 := NewDecoder(bytes.NewReader(data))
-		d2, err2 := NewDecoder(bytes.NewReader(data))
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatal("NewDecoder verdict is not deterministic")
-		}
-		if err1 != nil {
+		ref, err := NewDecoder(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
-		whole, wholeErr := d1.Decode()
-		got, chunkErr := chunkedDecode(d2, int(chunk)%1024+1)
-		if (wholeErr == nil) != (chunkErr == nil) {
-			t.Fatalf("verdicts differ: Decode err %v, chunked err %v", wholeErr, chunkErr)
+		var want []int32
+		wantErr := error(nil)
+		for {
+			s, err := ref.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, s)
 		}
-		if wholeErr != nil {
-			return
+		decoders := map[string]func(*Decoder) ([]int32, error){
+			"Decode": func(d *Decoder) ([]int32, error) {
+				tr, err := d.Decode()
+				if err != nil {
+					return nil, err
+				}
+				return tr.Syms, nil
+			},
+			"chunked": func(d *Decoder) ([]int32, error) { return chunkedDecode(d, int(chunk)%1024+1) },
 		}
-		if !reflect.DeepEqual(got, whole.Syms) && !(len(got) == 0 && len(whole.Syms) == 0) {
-			t.Fatal("chunked decode disagrees with Decode on an accepted container")
+		for name, decode := range decoders {
+			for _, r := range []io.Reader{bytes.NewReader(data), iotest.OneByteReader(bytes.NewReader(data))} {
+				d, err := NewDecoder(r)
+				if err != nil {
+					t.Fatalf("%s: NewDecoder verdict differs: %v", name, err)
+				}
+				got, gotErr := decode(d)
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("%s: verdicts differ: Next err %v, %s err %v", name, wantErr, name, gotErr)
+				}
+				if wantErr != nil {
+					if wantErr.Error() != gotErr.Error() {
+						t.Fatalf("%s: errors differ: Next %q, %s %q", name, wantErr, name, gotErr)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+					t.Fatalf("%s disagrees with Next on an accepted container", name)
+				}
+			}
 		}
 	})
 }
@@ -251,5 +282,26 @@ func BenchmarkStreamDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestDecodeExactCapacity: a container within the initial allocation cap
+// decodes into a slice of exactly its declared length — retained traces
+// hold no slack.
+func TestDecodeExactCapacity(t *testing.T) {
+	syms := make([]int32, 5000)
+	for i := range syms {
+		syms[i] = int32(i % 97)
+	}
+	d, err := NewDecoder(bytes.NewReader(encodeTrace(t, syms)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := d.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr.Syms, syms) || cap(tr.Syms) != len(syms) {
+		t.Fatalf("decoded len %d cap %d, want %d and %d", len(tr.Syms), cap(tr.Syms), len(syms), len(syms))
 	}
 }

@@ -31,19 +31,10 @@
 #   node never moves after the phase-1 submissions.
 #
 # SMOKE_SEED (default 1) picks the victim and varies the schedule.
-# Set SMOKE_WORK to redirect the scratch dir somewhere that survives the
-# run (CI points it at a directory uploaded as an artifact on failure);
-# without it a mktemp dir is used and removed.
+# Set SMOKE_WORK to keep the scratch dir (see lib.sh).
 set -eu
 
-if [ -n "${SMOKE_WORK:-}" ]; then
-    WORK=$SMOKE_WORK
-    mkdir -p "$WORK"
-    KEEP_WORK=1
-else
-    WORK=$(mktemp -d)
-    KEEP_WORK=0
-fi
+. "$(dirname "$0")/lib.sh"
 PIDS=""
 cleanup() {
     for pid in $PIDS; do
@@ -74,14 +65,6 @@ echo "smoke-chaos: recording $PROG traces"
 for k in 1 2 3 4; do
     "$WORK/tracedump" -prog "$PROG" -record "$WORK/t$k" -gran bb -repeat "$k"
 done
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
 
 # Static membership needs URLs up front, so ports are picked from a
 # PID-salted base instead of :0 + ready-file.

@@ -15,19 +15,10 @@
 #      (layoutd_jobs_completed_total stays 0 on survivors) — and the
 #      -cluster client flag to skip the dead endpoint.
 #
-# Set SMOKE_WORK to redirect the scratch dir somewhere that survives the
-# run (CI points it at a directory uploaded as an artifact on failure);
-# without it a mktemp dir is used and removed.
+# Set SMOKE_WORK to keep the scratch dir (see lib.sh).
 set -eu
 
-if [ -n "${SMOKE_WORK:-}" ]; then
-    WORK=$SMOKE_WORK
-    mkdir -p "$WORK"
-    KEEP_WORK=1
-else
-    WORK=$(mktemp -d)
-    KEEP_WORK=0
-fi
+. "$(dirname "$0")/lib.sh"
 PIDS=""
 cleanup() {
     for pid in $PIDS; do
@@ -47,14 +38,6 @@ go build -o "$WORK/tracedump" ./cmd/tracedump
 
 echo "smoke-cluster: recording a $PROG trace"
 "$WORK/tracedump" -prog "$PROG" -record "$WORK/t" -gran bb
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
 
 # Static membership needs URLs up front, so ports are picked from a
 # PID-salted base instead of :0 + ready-file.
@@ -176,7 +159,7 @@ done
 echo "smoke-cluster: resubmitting to non-owner $NONOWNER (expect forwarded cache hit)"
 "$WORK/layoutctl" -addr "$NONOWNER_ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result2.json"
-grep -q 'cached=true' "$WORK/result2.json"
+grep -q '"cached": true' "$WORK/result2.json"
 fetch "$NONOWNER_ADDR/metrics" >"$WORK/metrics-nonowner.txt"
 grep -q "^layoutd_peer_forwards_total{peer=\"$OWNER\"} [1-9]" "$WORK/metrics-nonowner.txt" || {
     echo "smoke-cluster: non-owner shows no forward to $OWNER" >&2

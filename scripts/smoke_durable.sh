@@ -13,19 +13,10 @@
 #      ENOSPC and require it to keep serving in degraded mode,
 #   6. SIGTERM and require a clean drain.
 #
-# Set SMOKE_WORK to redirect the scratch dir somewhere that survives the
-# run (CI points it at a directory uploaded as an artifact on failure);
-# without it a mktemp dir is used and removed.
+# Set SMOKE_WORK to keep the scratch dir (see lib.sh).
 set -eu
 
-if [ -n "${SMOKE_WORK:-}" ]; then
-    WORK=$SMOKE_WORK
-    mkdir -p "$WORK"
-    KEEP_WORK=1
-else
-    WORK=$(mktemp -d)
-    KEEP_WORK=0
-fi
+. "$(dirname "$0")/lib.sh"
 DAEMON_PID=""
 cleanup() {
     if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
@@ -45,14 +36,6 @@ go build -o "$WORK/tracedump" ./cmd/tracedump
 
 echo "smoke-durable: recording a $PROG trace"
 "$WORK/tracedump" -prog "$PROG" -record "$WORK/t" -gran bb
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
 
 start_daemon() {
     # $1 = extra flags appended verbatim; $2 = log file
@@ -116,7 +99,7 @@ echo "smoke-durable: layoutd back at $ADDR"
 echo "smoke-durable: resubmitting identical trace (expect disk cache hit)"
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result2.json"
-grep -q 'cached=true' "$WORK/result2.json"
+grep -q '"cached": true' "$WORK/result2.json"
 
 fetch "$ADDR/v1/layouts/$DIGEST" >"$WORK/layout2.json"
 cmp "$WORK/layout1.json" "$WORK/layout2.json" || {
@@ -171,7 +154,7 @@ fetch "$ADDR/metrics" | grep -q '^layoutd_store_state 0$'
 # Degraded is not down: the identical resubmit is served from memory.
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result4.json"
-grep -q 'cached=true' "$WORK/result4.json"
+grep -q '"cached": true' "$WORK/result4.json"
 
 echo "smoke-durable: draining faulted daemon"
 kill -TERM "$DAEMON_PID"

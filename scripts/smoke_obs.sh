@@ -19,19 +19,10 @@
 #      record peer_down; restart n3 and require peer_up,
 #   7. require /v1/debug/runtime to serve runtime-telemetry samples.
 #
-# Set SMOKE_WORK to redirect the scratch dir somewhere that survives the
-# run (CI points it at a directory uploaded as an artifact on failure);
-# without it a mktemp dir is used and removed.
+# Set SMOKE_WORK to keep the scratch dir (see lib.sh).
 set -eu
 
-if [ -n "${SMOKE_WORK:-}" ]; then
-    WORK=$SMOKE_WORK
-    mkdir -p "$WORK"
-    KEEP_WORK=1
-else
-    WORK=$(mktemp -d)
-    KEEP_WORK=0
-fi
+. "$(dirname "$0")/lib.sh"
 PIDS=""
 cleanup() {
     for pid in $PIDS; do
@@ -54,14 +45,6 @@ go build -o "$WORK/tracedump" ./cmd/tracedump
 
 echo "smoke-obs: recording a $PROG trace"
 "$WORK/tracedump" -prog "$PROG" -record "$WORK/t" -gran bb
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
 
 # POST a trace body with a traceparent header; layoutctl has no flag for
 # injecting caller trace context, which is the point of this check.

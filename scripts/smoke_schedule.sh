@@ -15,19 +15,10 @@
 #      (corun jobs, schedule pairs, pair-cache hits),
 #   6. SIGTERM and require a clean drain.
 #
-# Set SMOKE_WORK to redirect the scratch dir somewhere that survives the
-# run (CI points it at a directory uploaded as an artifact on failure);
-# without it a mktemp dir is used and removed.
+# Set SMOKE_WORK to keep the scratch dir (see lib.sh).
 set -eu
 
-if [ -n "${SMOKE_WORK:-}" ]; then
-    WORK=$SMOKE_WORK
-    mkdir -p "$WORK"
-    KEEP_WORK=1
-else
-    WORK=$(mktemp -d)
-    KEEP_WORK=0
-fi
+. "$(dirname "$0")/lib.sh"
 DAEMON_PID=""
 cleanup() {
     if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
@@ -73,14 +64,6 @@ while [ ! -s "$WORK/addr" ]; do
 done
 ADDR="http://$(cat "$WORK/addr")"
 echo "smoke-schedule: layoutd at $ADDR"
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
 
 fetch "$ADDR/healthz" | grep -q ok
 

@@ -13,19 +13,10 @@
 #   7. SIGTERM the daemon and require a clean drain with every job log
 #      line carrying a trace_id.
 #
-# Set SMOKE_WORK to redirect the scratch dir somewhere that survives the
-# run (CI points it at a directory uploaded as an artifact on failure);
-# without it a mktemp dir is used and removed.
+# Set SMOKE_WORK to keep the scratch dir (see lib.sh).
 set -eu
 
-if [ -n "${SMOKE_WORK:-}" ]; then
-    WORK=$SMOKE_WORK
-    mkdir -p "$WORK"
-    KEEP_WORK=1
-else
-    WORK=$(mktemp -d)
-    KEEP_WORK=0
-fi
+. "$(dirname "$0")/lib.sh"
 DAEMON_PID=""
 cleanup() {
     if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
@@ -69,14 +60,6 @@ done
 ADDR="http://$(cat "$WORK/addr")"
 echo "smoke-serve: layoutd at $ADDR"
 
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
-
 fetch "$ADDR/healthz" | grep -q ok
 
 echo "smoke-serve: submitting job"
@@ -116,7 +99,7 @@ fetch "$ADDR/v1/debug/jobs" | grep -q "\"id\": \"$JOB_ID\""
 echo "smoke-serve: resubmitting identical trace (expect cache hit)"
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
     -prog "$PROG" -opt "$OPT" -wait >"$WORK/result2.json"
-grep -q 'cached=true' "$WORK/result2.json"
+grep -q '"cached": true' "$WORK/result2.json"
 
 fetch "$ADDR/metrics" >"$WORK/metrics.txt"
 grep -q '^layoutd_cache_hits_total 1$' "$WORK/metrics.txt"

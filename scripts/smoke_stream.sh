@@ -5,11 +5,13 @@
 #   1. build layoutd/layoutctl/tracedump,
 #   2. record a trace and tile it with -repeat until the decoded form is
 #      far larger than the daemon's streaming window,
-#   3. start a buffered daemon (-stream-window 0), submit, and keep its
-#      result digest as the oracle,
-#   4. start a streaming daemon with a small -stream-window, -upload-dir,
-#      and GOMEMLIMIT well below the decoded trace size; submit the same
-#      trace over a plain streamed POST and require the identical digest,
+#   3. start a daemon at the default -stream-window, submit, and keep
+#      its result's report and miss ratios as the oracle,
+#   4. start a daemon with a small -stream-window, -upload-dir, and
+#      GOMEMLIMIT well below the decoded trace size; submit the same
+#      trace over a plain POST and require the identical report and miss
+#      ratios (the digest alone would prove nothing: it hashes only the
+#      inputs),
 #   5. check the streaming metrics: at least one streamed job, many
 #      chunks, the buffered-bytes gauge back at zero, and the peak gauge
 #      within the configured window,
@@ -22,19 +24,11 @@
 #   7. require overlapped stream.decode/stream.feed spans in the job's
 #      trace timeline, zero open upload sessions, and a clean drain.
 #
-# Set SMOKE_WORK to redirect the scratch dir somewhere that survives the
-# run (CI points it at a directory uploaded as an artifact on failure);
-# without it a mktemp dir is used and removed.
+# Set SMOKE_WORK to keep the scratch dir (see lib.sh).
 set -eu
 
-if [ -n "${SMOKE_WORK:-}" ]; then
-    WORK=$SMOKE_WORK
-    mkdir -p "$WORK"
-    KEEP_WORK=1
-else
-    WORK=$(mktemp -d)
-    KEEP_WORK=0
-fi
+. "$(dirname "$0")/lib.sh"
+command -v jq >/dev/null 2>&1 || { echo "smoke-stream: jq is required" >&2; exit 1; }
 DAEMON_PID=""
 cleanup() {
     if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
@@ -50,8 +44,8 @@ REPEAT=32
 # 256 KiB of decoded trace in flight per streamed submission; the
 # decoded trace itself is ~135x that (REPEAT * 276687 refs * 4 B).
 WINDOW=262144
-# Soft heap bound far below the decoded trace: a buffered submission
-# could not respect this, a streaming one must.
+# Soft heap bound far below the decoded trace: a daemon holding the
+# decoded trace could not respect this, the streaming pipeline must.
 MEMLIMIT=25MiB
 CHUNK1=4194304
 
@@ -68,14 +62,6 @@ TRACE_BYTES=$(wc -c <"$WORK/t.trace")
     exit 1
 }
 echo "smoke-stream: trace file is $TRACE_BYTES bytes (window $WINDOW)"
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
 
 start_daemon() {
     # $1 = extra flags appended verbatim; $2 = log file; $3 = GOMEMLIMIT or ""
@@ -117,30 +103,41 @@ stop_daemon() {
     DAEMON_PID=""
 }
 
-echo "smoke-stream: buffered oracle run (-stream-window 0)"
-start_daemon "-stream-window 0" "$WORK/layoutd-buffered.log" ""
+# outcome prints what a job computed: the report (sequence included)
+# and the simulated miss ratios.
+outcome() {
+    jq -cS '.result | {report, missBefore, missAfter}' "$1"
+}
+
+echo "smoke-stream: oracle run at the default window"
+start_daemon "" "$WORK/layoutd-default.log" ""
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
-    -prog "$PROG" -opt "$OPT" -wait >"$WORK/buffered.json"
-grep -q '"status": "done"' "$WORK/buffered.json"
-DIGEST_BUF=$(grep -o '"digest": "[0-9a-f]*"' "$WORK/buffered.json" | head -1 | cut -d'"' -f4)
-[ -n "$DIGEST_BUF" ] || { echo "smoke-stream: no buffered digest" >&2; exit 1; }
+    -prog "$PROG" -opt "$OPT" -wait -json >"$WORK/default.json"
+grep -q '"status": "done"' "$WORK/default.json"
+DIGEST_REF=$(jq -r .digest "$WORK/default.json")
+OUTCOME_REF=$(outcome "$WORK/default.json")
+[ -n "$DIGEST_REF" ] && [ "$(jq '.result.report.Sequence | length' "$WORK/default.json")" -gt 0 ] || {
+    echo "smoke-stream: oracle run has no digest or sequence" >&2
+    exit 1
+}
 stop_daemon
 
 echo "smoke-stream: streaming daemon (window $WINDOW, GOMEMLIMIT $MEMLIMIT)"
 start_daemon "-stream-window $WINDOW -upload-dir $WORK/uploads" \
     "$WORK/layoutd-stream.log" "$MEMLIMIT"
 
-echo "smoke-stream: streamed POST of the same trace"
+echo "smoke-stream: POST of the same trace"
 "$WORK/layoutctl" -addr "$ADDR" -submit "$WORK/t.trace" \
-    -prog "$PROG" -opt "$OPT" -wait >"$WORK/streamed.json"
+    -prog "$PROG" -opt "$OPT" -wait -json >"$WORK/streamed.json"
 grep -q '"status": "done"' "$WORK/streamed.json"
-DIGEST_STREAM=$(grep -o '"digest": "[0-9a-f]*"' "$WORK/streamed.json" | head -1 | cut -d'"' -f4)
-JOB_ID=$(grep -o '"id": "[^"]*"' "$WORK/streamed.json" | head -1 | cut -d'"' -f4)
-[ "$DIGEST_STREAM" = "$DIGEST_BUF" ] || {
-    echo "smoke-stream: streamed digest $DIGEST_STREAM != buffered $DIGEST_BUF" >&2
+JOB_ID=$(jq -r .id "$WORK/streamed.json")
+[ "$(outcome "$WORK/streamed.json")" = "$OUTCOME_REF" ] || {
+    echo "smoke-stream: small-window result differs from the default-window oracle" >&2
+    outcome "$WORK/streamed.json" >&2
+    echo "$OUTCOME_REF" >&2
     exit 1
 }
-echo "smoke-stream: streamed digest matches buffered oracle"
+echo "smoke-stream: small-window report and miss ratios match the oracle"
 
 echo "smoke-stream: checking streaming metrics"
 fetch "$ADDR/metrics" >"$WORK/metrics1.txt"
@@ -183,19 +180,19 @@ if command -v curl >/dev/null 2>&1; then
 
     echo "smoke-stream: resuming the session with layoutctl -upload-id"
     "$WORK/layoutctl" -addr "$ADDR" -upload "$WORK/t.trace" -upload-id "$UPLOAD_ID" \
-        -prog "$PROG" -opt "$OPT" -wait >"$WORK/resumed.json"
+        -prog "$PROG" -opt "$OPT" -wait -json >"$WORK/resumed.json"
     grep -q '"status": "done"' "$WORK/resumed.json"
     grep -q '"cached": true' "$WORK/resumed.json"
-    DIGEST_RESUMED=$(grep -o '"digest": "[0-9a-f]*"' "$WORK/resumed.json" | head -1 | cut -d'"' -f4)
-    [ "$DIGEST_RESUMED" = "$DIGEST_BUF" ] || {
-        echo "smoke-stream: resumed digest $DIGEST_RESUMED != buffered $DIGEST_BUF" >&2
+    DIGEST_RESUMED=$(jq -r .digest "$WORK/resumed.json")
+    [ "$DIGEST_RESUMED" = "$DIGEST_REF" ] || {
+        echo "smoke-stream: resumed digest $DIGEST_RESUMED != $DIGEST_REF" >&2
         exit 1
     }
     echo "smoke-stream: resumed upload finalized to a cache hit on the same digest"
 else
     echo "smoke-stream: curl not found; driving the full upload through layoutctl"
     "$WORK/layoutctl" -addr "$ADDR" -upload "$WORK/t.trace" \
-        -prog "$PROG" -opt "$OPT" -wait >"$WORK/resumed.json"
+        -prog "$PROG" -opt "$OPT" -wait -json >"$WORK/resumed.json"
     grep -q '"status": "done"' "$WORK/resumed.json"
     grep -q '"cached": true' "$WORK/resumed.json"
 fi
