@@ -63,8 +63,8 @@ func NewFeedPool(ctx context.Context, workers int) *FeedPool {
 func (p *FeedPool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
-		if p.failed() {
-			continue // drain without running; the pool is already sunk
+		if p.failedBefore(t.index) {
+			continue // drain without running: an earlier task already failed
 		}
 		if err := p.ctx.Err(); err != nil {
 			p.record(t.index, err)
@@ -86,10 +86,13 @@ func (p *FeedPool) record(index int, err error) {
 	p.mu.Unlock()
 }
 
-func (p *FeedPool) failed() bool {
+// failedBefore reports whether a task submitted before index failed, so
+// the task at index cannot change what Wait returns. A later failure
+// does not skip it: it may fail itself and become the earliest.
+func (p *FeedPool) failedBefore(index int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.err != nil
+	return p.err != nil && p.errIndex < index
 }
 
 func (p *FeedPool) currentErr() error {

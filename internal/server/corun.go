@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"codelayout/internal/cachesim"
 	"codelayout/internal/core"
@@ -88,17 +87,6 @@ type CorunDoc struct {
 	// ElapsedMS is the computing job's analysis wall time; a hit returns
 	// the stored document unchanged.
 	ElapsedMS float64 `json:"elapsedMS"`
-}
-
-// corunJobRequest carries a validated /v1/corun job to its pool worker.
-type corunJobRequest struct {
-	a, b     *corunEntry
-	cfg      cachesim.Config
-	deadline time.Time
-	// ctx is the job's lifetime context; DELETE /v1/jobs/{id} cancels it
-	// even after the job started — co-run and schedule jobs are
-	// cancelable mid-run, unlike optimizations.
-	ctx context.Context
 }
 
 // corunEntry is one digest's materialized inputs: the cached result, the
@@ -249,11 +237,7 @@ func corunConfig(c *cachesim.Config) (cachesim.Config, error) {
 // otherwise the analysis runs as an async job with the same
 // backpressure, deadline, and cancellation rules as optimizations.
 func (s *Server) handleCorun(w http.ResponseWriter, r *http.Request) {
-	traceID := requestTraceID(r)
-	logger := s.logger.With("trace_id", traceID)
-	rec := obs.NewRecorder(s.cfg.SpanBufferSize)
-	rec.SetDropHook(s.metrics.spansDropped.Inc)
-	ctx := obs.WithTraceID(obs.WithLogger(obs.WithRecorder(r.Context(), rec), logger), traceID)
+	ctx, sub := s.newSubmissionCtx(r)
 
 	var req corunRequest
 	if err := readJSON(w, r, &req); err != nil {
@@ -277,74 +261,26 @@ func (s *Server) handleCorun(w http.ResponseWriter, r *http.Request) {
 	a, b := pair[0], pair[1]
 	s.metrics.corunJobs.Inc()
 
-	jr := &corunJobRequest{a: a, b: b, cfg: cfg, deadline: time.Now().Add(s.cfg.JobTimeout)}
 	key := corunDigest(a.res.Digest, b.res.Digest, cfg)
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	jr.ctx = jobCtx
-
-	j := &Job{
-		id:       s.newJobID(),
-		kind:     jobKindCorun,
-		status:   StatusQueued,
-		digest:   key,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  traceID,
-		rec:      rec,
-		progName: a.res.Prog + "+" + b.res.Prog,
-		optName:  a.res.Optimizer + "+" + b.res.Optimizer,
-	}
-	j.logger = logger.With("job", j.id)
-
+	j := s.newJob(sub, jobKindCorun, key,
+		a.res.Prog+"+"+b.res.Prog, a.res.Optimizer+"+"+b.res.Optimizer)
 	if doc, ok := s.pairs.get(ctx, key); ok {
 		s.metrics.pairHits.Inc()
-		j.cached = true
-		j.completeCorun(doc)
-		s.storeJob(j)
-		s.metrics.accepted.Inc()
-		s.finish(j)
-		writeJSON(w, http.StatusOK, j.view())
+		s.answerHit(w, j, doc)
 		return
 	}
 	s.metrics.pairMisses.Inc()
-
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runCorunJob(poolCtx, j, jr)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
-		s.metrics.rejected.Inc()
-		logger.Warn("corun job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
+	if !s.admit(w, j, func(poolCtx context.Context) {
+		runTask(s, poolCtx, j, func(ctx context.Context) (*CorunDoc, bool, error) {
+			doc, err := s.pairAnalysis(ctx, cfg, a, b, s.cfg.OptWorkers)
+			return doc, false, err
+		}, s.pairs.put)
+	}) {
 		return
 	}
-	s.metrics.accepted.Inc()
 	j.logger.Info("corun job accepted",
 		"a", req.A, "b", req.B, "pair", key, "cache", cfg)
 	writeJSON(w, http.StatusAccepted, j.view())
-}
-
-// runCorunJob is the pool task behind POST /v1/corun.
-func (s *Server) runCorunJob(poolCtx context.Context, j *Job, req *corunJobRequest) {
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		return
-	}
-	defer cleanup()
-	start := time.Now()
-	doc, err := s.pairAnalysis(ctx, req.cfg, req.a, req.b, s.cfg.OptWorkers)
-	if err != nil {
-		s.failOrCancel(j, err)
-		return
-	}
-	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.pairs.put(ctx, doc)
-	j.completeCorun(doc)
-	s.metrics.completed.Inc()
-	s.finish(j)
 }
 
 // computePair runs the six co-run simulations behind a pair document —

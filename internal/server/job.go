@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"log/slog"
 	"sync"
 	"time"
@@ -33,6 +34,17 @@ type Result struct {
 	ElapsedMS float64 `json:"elapsedMS"`
 }
 
+// document is a finished job's output: an optimization Result, a
+// CorunDoc or a ScheduleDoc. elapsed addresses its ElapsedMS, the
+// computing job's wall time.
+type document interface {
+	elapsed() *float64
+}
+
+func (r *Result) elapsed() *float64      { return &r.ElapsedMS }
+func (d *CorunDoc) elapsed() *float64    { return &d.ElapsedMS }
+func (d *ScheduleDoc) elapsed() *float64 { return &d.ElapsedMS }
+
 // Job states, in lifecycle order. For optimization jobs, Canceled is
 // reachable only from Queued (via DELETE /v1/jobs/{id}); a running
 // optimization is past the point of no return. Co-run and schedule jobs
@@ -57,9 +69,9 @@ const (
 )
 
 // Job is one submission's mutable state. All fields behind mu except
-// the observability handles (traceID, rec, logger), which are set once
-// at creation and read-only after; the JSON view is built under the
-// lock.
+// the lifetime handles (ctx, cancel, deadline) and the observability
+// handles (traceID, rec, logger), which newJob sets once and are
+// read-only after; the JSON view is built under the lock.
 type Job struct {
 	mu       sync.Mutex
 	id       string
@@ -67,16 +79,18 @@ type Job struct {
 	status   string
 	cached   bool
 	err      string
-	result   *Result
-	corun    *CorunDoc
-	schedule *ScheduleDoc
+	doc      document // set by complete
 	digest   string
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	// cancel tears down the job's context (jobRequest.ctx); set for
-	// every queued job, called by DELETE and by job completion.
-	cancel func()
+	// ctx is the job's own lifetime context; cancel tears it down, called
+	// by DELETE and by job completion, so the pipeline stops even if the
+	// job slipped into running between the status check and the cancel.
+	// deadline bounds the job from acceptance, queue wait included.
+	ctx      context.Context
+	cancel   func()
+	deadline time.Time
 
 	// traceID correlates every log line, span, and debug summary the
 	// job produces.
@@ -146,18 +160,24 @@ func (j *Job) view() jobView {
 }
 
 func (j *Job) viewLocked() jobView {
-	return jobView{
-		ID:       j.id,
-		Kind:     j.kind,
-		Status:   j.status,
-		Digest:   j.digest,
-		TraceID:  j.traceID,
-		Cached:   j.cached,
-		Error:    j.err,
-		Result:   j.result,
-		Corun:    j.corun,
-		Schedule: j.schedule,
+	v := jobView{
+		ID:      j.id,
+		Kind:    j.kind,
+		Status:  j.status,
+		Digest:  j.digest,
+		TraceID: j.traceID,
+		Cached:  j.cached,
+		Error:   j.err,
 	}
+	switch d := j.doc.(type) {
+	case *Result:
+		v.Result = d
+	case *CorunDoc:
+		v.Corun = d
+	case *ScheduleDoc:
+		v.Schedule = d
+	}
+	return v
 }
 
 // spanView is one span in the wire timeline. Node names the cluster
@@ -293,42 +313,18 @@ func (j *Job) statusNow() string {
 	return j.status
 }
 
-// complete finishes an optimization job with its result; cached marks
-// one answered from the result cache.
-func (j *Job) complete(r *Result, cached bool) {
+// complete finishes a job of any kind with its document; cached marks
+// one answered from a content-addressed cache.
+func (j *Job) complete(doc document, cached bool) {
 	j.mu.Lock()
 	j.status = StatusDone
-	j.result = r
+	j.doc = doc
 	j.cached = cached
 	j.finished = time.Now()
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel() // release the job context's resources
-	}
-}
-
-func (j *Job) completeCorun(doc *CorunDoc) {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.corun = doc
-	j.finished = time.Now()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-func (j *Job) completeSchedule(doc *ScheduleDoc) {
-	j.mu.Lock()
-	j.status = StatusDone
-	j.schedule = doc
-	j.finished = time.Now()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
 	}
 }
 
@@ -350,11 +346,20 @@ func (j *Job) terminalLocked() bool {
 	return j.status == StatusDone || j.status == StatusFailed || j.status == StatusCanceled
 }
 
-// wallMS returns the job's own wall time, from acceptance to completion.
-func (j *Job) wallMS() float64 {
+// elapsedMS is the wall time a terminal job reports: a hit's own, from
+// acceptance to completion, since its document is returned unchanged
+// and carries the computing job's; otherwise its document's ElapsedMS,
+// or 0 without one.
+func (j *Job) elapsedMS() float64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return float64(j.finished.Sub(j.created)) / float64(time.Millisecond)
+	switch {
+	case j.cached:
+		return float64(j.finished.Sub(j.created)) / float64(time.Millisecond)
+	case j.doc != nil:
+		return *j.doc.elapsed()
+	}
+	return 0
 }
 
 // terminal returns the completion time of a done, failed, or canceled

@@ -66,11 +66,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r := obs.NewRegistry()
 	m := &serverMetrics{reg: r}
 
-	m.accepted = r.Counter("layoutd_jobs_accepted_total", "Jobs accepted into the queue.")
-	m.completed = r.Counter("layoutd_jobs_completed_total", "Jobs that produced a layout.")
+	m.accepted = r.Counter("layoutd_jobs_accepted_total",
+		"Jobs accepted: admitted to the queue, or answered at once from the co-run or schedule document cache.")
+	m.completed = r.Counter("layoutd_jobs_completed_total",
+		"Jobs that computed their document (layout, co-run pair or schedule); cache hits are not counted.")
 	m.failed = r.Counter("layoutd_jobs_failed_total", "Jobs that errored.")
 	m.rejected = r.Counter("layoutd_jobs_rejected_total", "Submissions rejected with 429 (queue full).")
-	m.canceled = r.Counter("layoutd_jobs_canceled_total", "Queued jobs canceled via DELETE /v1/jobs/{id}.")
+	m.canceled = r.Counter("layoutd_jobs_canceled_total",
+		"Jobs canceled via DELETE /v1/jobs/{id}: queued jobs of any kind, and running co-run or schedule jobs.")
 	m.cacheHits = r.Counter("layoutd_cache_hits_total", "Submissions served from the content-addressed cache.")
 	m.corunJobs = r.Counter("layoutd_corun_jobs_total", "Co-run analysis requests accepted at POST /v1/corun.")
 	m.scheduleJobs = r.Counter("layoutd_schedule_jobs_total", "Placement requests accepted at POST /v1/schedule.")
@@ -79,7 +82,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.pairMisses = r.Counter("layoutd_pair_cache_misses_total", "Pair lookups that required a co-run analysis.")
 	r.GaugeFunc("layoutd_queue_depth", "Jobs accepted but not yet running.",
 		func() int64 { return int64(s.pool.QueueDepth()) })
-	r.GaugeFunc("layoutd_jobs_running", "Jobs currently optimizing.",
+	r.GaugeFunc("layoutd_jobs_running", "Jobs of every kind currently running on a pool worker.",
 		func() int64 { return int64(s.pool.Running()) })
 	r.GaugeFunc("layoutd_jobs_tracked", "Job-status records held (bounded by retention).",
 		func() int64 { return int64(s.JobsTracked()) })

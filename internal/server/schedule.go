@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"codelayout/internal/cachesim"
 	"codelayout/internal/obs"
@@ -65,13 +64,11 @@ type ScheduleDoc struct {
 
 // scheduleJobRequest carries a validated /v1/schedule job to its worker.
 type scheduleJobRequest struct {
-	digests  []string
-	entries  []*corunEntry // parallel to digests; repeats share pointers
-	topo     schedule.Topology
-	cfg      cachesim.Config
-	key      string
-	deadline time.Time
-	ctx      context.Context
+	digests []string
+	entries []*corunEntry // parallel to digests; repeats share pointers
+	topo    schedule.Topology
+	cfg     cachesim.Config
+	key     string
 }
 
 // scheduleDigest derives the content address of a schedule request. The
@@ -92,11 +89,7 @@ func scheduleDigest(digests []string, topo schedule.Topology, cfg cachesim.Confi
 // predicted misses. Runs as an async job; the matrix reuses pair
 // documents across jobs via the content-addressed pair cache.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	traceID := requestTraceID(r)
-	logger := s.logger.With("trace_id", traceID)
-	rec := obs.NewRecorder(s.cfg.SpanBufferSize)
-	rec.SetDropHook(s.metrics.spansDropped.Inc)
-	ctx := obs.WithTraceID(obs.WithLogger(obs.WithRecorder(r.Context(), rec), logger), traceID)
+	ctx, sub := s.newSubmissionCtx(r)
 
 	var req scheduleRequest
 	if err := readJSON(w, r, &req); err != nil {
@@ -131,78 +124,31 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.metrics.scheduleJobs.Inc()
 
 	jr := &scheduleJobRequest{
-		digests:  req.Digests,
-		entries:  entries,
-		topo:     req.Topology,
-		cfg:      cfg,
-		key:      scheduleDigest(req.Digests, req.Topology, cfg),
-		deadline: time.Now().Add(s.cfg.JobTimeout),
+		digests: req.Digests,
+		entries: entries,
+		topo:    req.Topology,
+		cfg:     cfg,
+		key:     scheduleDigest(req.Digests, req.Topology, cfg),
 	}
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	jr.ctx = jobCtx
-
-	j := &Job{
-		id:       s.newJobID(),
-		kind:     jobKindSchedule,
-		status:   StatusQueued,
-		digest:   jr.key,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  traceID,
-		rec:      rec,
-		progName: fmt.Sprintf("schedule[%d]", len(req.Digests)),
-	}
-	j.logger = logger.With("job", j.id)
-
+	j := s.newJob(sub, jobKindSchedule, jr.key, fmt.Sprintf("schedule[%d]", len(req.Digests)), "")
 	if doc, ok := s.schedules.get(ctx, jr.key); ok {
-		j.cached = true
-		j.completeSchedule(doc)
-		s.storeJob(j)
-		s.metrics.accepted.Inc()
-		s.finish(j)
-		writeJSON(w, http.StatusOK, j.view())
+		s.answerHit(w, j, doc)
 		return
 	}
-
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runScheduleJob(poolCtx, j, jr)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
-		s.metrics.rejected.Inc()
-		logger.Warn("schedule job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
+	// The pool task assembles the interference matrix (one pair document
+	// per distinct digest pair, memoized via the pair cache), then solves
+	// the placement.
+	if !s.admit(w, j, func(poolCtx context.Context) {
+		runTask(s, poolCtx, j, func(ctx context.Context) (*ScheduleDoc, bool, error) {
+			doc, err := s.computeSchedule(ctx, jr)
+			return doc, false, err
+		}, s.schedules.put)
+	}) {
 		return
 	}
-	s.metrics.accepted.Inc()
 	j.logger.Info("schedule job accepted",
 		"digests", len(req.Digests), "topology", req.Topology, "key", jr.key)
 	writeJSON(w, http.StatusAccepted, j.view())
-}
-
-// runScheduleJob is the pool task behind POST /v1/schedule: assemble the
-// interference matrix (one pair document per distinct digest pair,
-// memoized via the pair cache), then solve the placement.
-func (s *Server) runScheduleJob(poolCtx context.Context, j *Job, req *scheduleJobRequest) {
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		return
-	}
-	defer cleanup()
-	start := time.Now()
-	doc, err := s.computeSchedule(ctx, req)
-	if err != nil {
-		s.failOrCancel(j, err)
-		return
-	}
-	doc.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.schedules.put(ctx, doc)
-	j.completeSchedule(doc)
-	s.metrics.completed.Inc()
-	s.finish(j)
 }
 
 func (s *Server) computeSchedule(ctx context.Context, req *scheduleJobRequest) (*ScheduleDoc, error) {

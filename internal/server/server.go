@@ -31,7 +31,7 @@
 //	     body: raw CLTR trace, or multipart/form-data with a "trace" file
 //	GET  /v1/jobs/{id}        job status and, when done, the result
 //	GET  /v1/jobs/{id}/trace  the job's span timeline
-//	DELETE /v1/jobs/{id}      cancel a still-queued job
+//	DELETE /v1/jobs/{id}      cancel a queued job, or a running co-run or schedule job
 //	POST /v1/uploads          create a resumable upload session
 //	GET  /v1/uploads/{id}     session's durable offset (resume point)
 //	PATCH /v1/uploads/{id}    append bytes at Upload-Offset
@@ -458,9 +458,10 @@ func (s *Server) StoreState() (store.State, bool) {
 
 // ---- submission ----
 
-// submission bundles one job submission's validated parameters and
-// observability handles, shared by the direct POST /v1/jobs path and
-// the resumable-upload finalize path.
+// submission bundles one job submission's observability handles and,
+// for an optimization, its validated parameters, shared by the direct
+// POST /v1/jobs path and the resumable-upload finalize path. Co-run
+// and schedule requests use only the observability handles.
 type submission struct {
 	traceID string
 	rec     *obs.Recorder
@@ -485,8 +486,8 @@ func requestTraceID(r *http.Request) string {
 }
 
 // newSubmissionCtx mints the trace ID, logger, and bounded span
-// recorder every submission carries from its first byte, so even the
-// decode of a rejected upload is attributed.
+// recorder every job-creating request carries from its first byte, so
+// even the decode of a rejected upload is attributed.
 func (s *Server) newSubmissionCtx(r *http.Request) (context.Context, *submission) {
 	traceID := requestTraceID(r)
 	logger := s.logger.With("trace_id", traceID)
@@ -614,112 +615,6 @@ func badBodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// ---- job execution ----
-
-// beginJob is the shared front half of every pool task: record queue
-// wait into the job's timeline, bind the deadline and the job's own
-// context (DELETE cancellation) onto the pipeline context, and move the
-// job to running. It reports false — after finalizing the job when
-// needed — if the work must be skipped (expired in queue, or canceled
-// while queued); on true the caller owns cleanup and must defer it.
-func (s *Server) beginJob(poolCtx context.Context, j *Job, deadline time.Time, reqCtx context.Context) (context.Context, func(), bool) {
-	// The time between acceptance and this worker picking the task up
-	// is queue wait; record it into the job's own timeline (the pool
-	// hook feeds the histogram).
-	if j.rec != nil {
-		j.rec.Record("queue.wait", j.created, time.Since(j.created))
-	}
-	ctx, cancel := context.WithDeadline(poolCtx, deadline)
-	// Propagate a DELETE arriving after the job started into the
-	// pipeline context.
-	stop := context.AfterFunc(reqCtx, cancel)
-	cleanup := func() { stop(); cancel() }
-	ctx = obs.WithTraceID(obs.WithLogger(obs.WithRecorder(ctx, j.rec), j.logger), j.traceID)
-	// Start before the expiry check: a DELETE while queued also fires
-	// reqCtx, and must leave the job canceled, not failed.
-	if !j.tryStart() {
-		// Canceled while queued: the DELETE handler already counted it.
-		cleanup()
-		return nil, nil, false
-	}
-	if err := ctx.Err(); err != nil {
-		cleanup()
-		j.fail(fmt.Errorf("job expired before running: %w", err))
-		s.metrics.failed.Inc()
-		s.finish(j)
-		return nil, nil, false
-	}
-	j.logger.Info("job started",
-		"queue_wait_ms", float64(time.Since(j.created))/float64(time.Millisecond))
-	return ctx, cleanup, true
-}
-
-// failOrCancel finalizes a job whose pipeline returned an error: a job
-// the client moved to canceling lands in canceled, anything else in
-// failed.
-func (s *Server) failOrCancel(j *Job, err error) {
-	if j.statusNow() == StatusCanceling {
-		j.finalizeCanceled()
-		s.metrics.canceled.Inc()
-	} else {
-		j.fail(err)
-		s.metrics.failed.Inc()
-	}
-	s.finish(j)
-}
-
-// finish is the single exit point for every terminal job: fold the
-// job's spans into the per-phase histograms, release its in-flight
-// bytes, push a summary onto the debug ring, and log the outcome. Call
-// exactly once per job, after its terminal status is set.
-func (s *Server) finish(j *Job) {
-	var spans []obs.SpanData
-	if j.rec != nil {
-		spans, _ = j.rec.Snapshot()
-	}
-	s.metrics.observePhases(spans)
-	if n := j.releaseBytes(); n > 0 {
-		s.metrics.inflightBytes.Add(-n)
-	}
-	v := j.view()
-	sum := jobSummary{
-		ID:        v.ID,
-		Kind:      v.Kind,
-		TraceID:   v.TraceID,
-		Status:    v.Status,
-		Prog:      j.progName,
-		Optimizer: j.optName,
-		Cached:    v.Cached,
-		Error:     v.Error,
-	}
-	switch {
-	case v.Cached:
-		// A hit returns the stored document unchanged, so the document's
-		// ElapsedMS is the computing job's; report the hit's own.
-		sum.ElapsedMS = j.wallMS()
-	case v.Result != nil:
-		sum.ElapsedMS = v.Result.ElapsedMS
-	case v.Corun != nil:
-		sum.ElapsedMS = v.Corun.ElapsedMS
-	case v.Schedule != nil:
-		sum.ElapsedMS = v.Schedule.ElapsedMS
-	}
-	s.ring.push(sum)
-	logger := j.logger
-	if logger == nil {
-		logger = obs.NopLogger
-	}
-	switch v.Status {
-	case StatusFailed:
-		logger.Error("job failed", "error", v.Error, "spans", len(spans))
-	case StatusCanceled:
-		logger.Info("job canceled", "spans", len(spans))
-	default:
-		logger.Info("job finished",
-			"cached", v.Cached, "elapsed_ms", sum.ElapsedMS, "spans", len(spans))
-	}
-}
-
 // ---- reads ----
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -766,7 +661,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	httpError(w, http.StatusConflict,
 		fmt.Errorf("job %s is %s; only queued jobs (or running corun/schedule jobs) can be canceled", id, j.statusNow()))
-	return
 }
 
 // handleDebugJobs is GET /v1/debug/jobs: the bounded ring of recent

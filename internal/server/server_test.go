@@ -331,11 +331,16 @@ func TestMultipartSubmission(t *testing.T) {
 	}
 }
 
-// TestQueueFull429: with one slow worker and a one-deep queue, the
-// third concurrent submission is rejected with 429 and counted.
+// TestQueueFull429: with one slow worker and a one-deep queue, a
+// submission of every job kind — optimize, co-run, schedule — is shed
+// with 429 + Retry-After rather than queued unboundedly, counted as
+// rejected, and not left behind as a tracked job.
 func TestQueueFull429(t *testing.T) {
 	raw, _ := recordedTrace(t)
 	s, ts := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 1, OptWorkers: 1})
+	// Two cached layouts for the co-run and schedule submissions.
+	dA := submitDone(t, ts, "func-affinity")
+	dB := submitDone(t, ts, "func-trg")
 
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -361,15 +366,40 @@ func TestQueueFull429(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 2 status %d", code)
 	}
-	msg, code := errorBody(t, ts, raw, "prog="+testProg+"&opt=func-affinity&prune=102")
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("submit 3 status %d, want 429", code)
+
+	jsonBody := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	if !strings.Contains(msg, "queue full") {
-		t.Errorf("429 body %q", msg)
-	}
-	if got := metricValue(t, ts, "layoutd_jobs_rejected_total"); got != 1 {
-		t.Errorf("jobs_rejected_total = %v, want 1", got)
+	for i, c := range []struct {
+		kind, path string
+		body       []byte
+	}{
+		{"optimize", "/v1/jobs?prog=" + testProg + "&opt=func-affinity&prune=102", raw},
+		{"corun", "/v1/corun", jsonBody(map[string]any{"a": dA, "b": dB})},
+		{"schedule", "/v1/schedule", jsonBody(map[string]any{
+			"digests": []string{dA, dB}, "topology": map[string]int{"domains": 1, "slotsPerDomain": 2}})},
+	} {
+		tracked := s.JobsTracked()
+		resp, body := doReq(t, http.MethodPost, ts.URL+c.path, c.body, nil)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d, want 429: %s", c.kind, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Errorf("%s: Retry-After %q, want 1", c.kind, got)
+		}
+		if !strings.Contains(string(body), "queue full") {
+			t.Errorf("%s: 429 body %q", c.kind, body)
+		}
+		if got := metricValue(t, ts, "layoutd_jobs_rejected_total"); got != float64(i+1) {
+			t.Errorf("%s: jobs_rejected_total = %v, want %d", c.kind, got, i+1)
+		}
+		if got := s.JobsTracked(); got != tracked {
+			t.Errorf("%s: JobsTracked = %d after rejection, want %d", c.kind, got, tracked)
+		}
 	}
 	close(release)
 	if done := waitJob(t, ts, v1.ID); done.Status != StatusDone {

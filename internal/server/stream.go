@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"time"
 
 	"codelayout/internal/cachesim"
 	"codelayout/internal/core"
@@ -203,11 +202,6 @@ type jobRequest struct {
 	sub       *submission
 	rg        *streamRing
 	spoolPath string
-	deadline  time.Time
-	// ctx is the job's own lifetime context; DELETE /v1/jobs/{id}
-	// cancels it so the pipeline stops even if the job slipped into
-	// running between the status check and the cancel.
-	ctx context.Context
 
 	feed        *core.Feed
 	traceDigest string
@@ -242,43 +236,15 @@ func (s *Server) streamSubmit(ctx context.Context, w http.ResponseWriter, body i
 // the bytes at spoolPath (the finalize path passes tee nil because the
 // spool already exists). On acceptance the consumer owns spoolPath.
 func (s *Server) streamIngest(ctx context.Context, w http.ResponseWriter, body io.Reader, tee *os.File, spoolPath string, sub *submission) {
-	jobCtx, jobCancel := context.WithCancel(context.Background())
-	req := &jobRequest{
-		sub:       sub,
-		rg:        newStreamRing(s.cfg.StreamWindow),
-		spoolPath: spoolPath,
-		deadline:  time.Now().Add(s.cfg.JobTimeout),
-		ctx:       jobCtx,
-	}
-	j := &Job{
-		id:       s.newJobID(),
-		status:   StatusQueued,
-		created:  time.Now(),
-		cancel:   jobCancel,
-		traceID:  sub.traceID,
-		rec:      sub.rec,
-		progName: sub.progName,
-		optName:  sub.optName,
-	}
-	j.logger = sub.logger.With("job", j.id)
-	s.storeJob(j)
-	accepted := s.pool.TrySubmit(func(poolCtx context.Context) {
-		s.runJob(poolCtx, j, req)
-	})
-	if !accepted {
-		s.dropJob(j.id)
-		jobCancel()
+	req := &jobRequest{sub: sub, rg: newStreamRing(s.cfg.StreamWindow), spoolPath: spoolPath}
+	j := s.newJob(sub, jobKindOptimize, "", sub.progName, sub.optName)
+	if !s.admit(w, j, func(poolCtx context.Context) { s.runJob(poolCtx, j, req) }) {
 		if tee != nil {
 			tee.Close()
 		}
 		os.Remove(spoolPath)
-		s.metrics.rejected.Inc()
-		sub.logger.Warn("job rejected: queue full", "job", j.id)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errors.New("job queue full"))
 		return
 	}
-	s.metrics.accepted.Inc()
 	s.metrics.streamJobs.Inc()
 
 	rg := req.rg
@@ -364,36 +330,26 @@ func (s *Server) streamProduce(ctx context.Context, body io.Reader, tee *os.File
 	return hr.Sum(), hr.BytesRead(), refs, nil
 }
 
-// runJob is the pool task behind every submission: consume the ring
-// into the optimizer's feed, then finish, simulate and publish — or
-// answer from the content-addressed cache. The job's recorder, logger,
-// and trace ID ride the pipeline context from here down.
+// runJob is the pool task behind every submission: runTask around the
+// optimize span, in which the ring is consumed into the optimizer's
+// feed, then finished, simulated and published — or answered from the
+// content-addressed cache. The spool and the ring are released however
+// the job ends.
 func (s *Server) runJob(poolCtx context.Context, j *Job, req *jobRequest) {
 	defer os.Remove(req.spoolPath)
 	defer req.rg.abandon()
-	ctx, cleanup, ok := s.beginJob(poolCtx, j, req.deadline, req.ctx)
-	if !ok {
-		return
-	}
-	defer cleanup()
-	start := time.Now()
-	sp := obs.StartSpan(ctx, "optimize")
-	res, cached, err := s.consume(ctx, req)
-	sp.End()
-	if err != nil {
-		s.failOrCancel(j, err)
-		return
-	}
-	if cached {
-		s.metrics.cacheHits.Inc()
-	} else {
-		res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	runTask(s, poolCtx, j, func(ctx context.Context) (*Result, bool, error) {
+		sp := obs.StartSpan(ctx, "optimize")
+		defer sp.End()
+		res, cached, err := s.consume(ctx, req)
+		if cached {
+			s.metrics.cacheHits.Inc()
+		}
+		return res, cached, err
+	}, func(ctx context.Context, res *Result) {
 		s.cache.put(ctx, res)
-		s.metrics.completed.Inc()
 		s.metrics.latency.With(req.sub.optName).Observe(res.ElapsedMS)
-	}
-	j.complete(res, cached)
-	s.finish(j)
+	})
 }
 
 // consume is the worker half of a submission: feed chunks into the

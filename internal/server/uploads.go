@@ -46,8 +46,7 @@ func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 	up, err := s.uploads.Create()
 	if err != nil {
 		if errors.Is(err, store.ErrTooManySessions) {
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err)
+			tooBusy(w, err)
 			return
 		}
 		httpError(w, http.StatusInternalServerError, err)

@@ -35,14 +35,6 @@
 set -eu
 
 . "$(dirname "$0")/lib.sh"
-PIDS=""
-cleanup() {
-    for pid in $PIDS; do
-        kill -9 "$pid" 2>/dev/null || true
-    done
-    [ "$KEEP_WORK" = 1 ] || rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 PROG=458.sjeng
 OPT=func-affinity
@@ -66,34 +58,12 @@ for k in 1 2 3 4; do
     "$WORK/tracedump" -prog "$PROG" -record "$WORK/t$k" -gran bb -repeat "$k"
 done
 
-# Static membership needs URLs up front, so ports are picked from a
-# PID-salted base instead of :0 + ready-file.
-BASE=$((20000 + ($$ + SEED) % 20000))
-P1=$BASE
-P2=$((BASE + 1))
-P3=$((BASE + 2))
-A1="http://127.0.0.1:$P1"
-A2="http://127.0.0.1:$P2"
-A3="http://127.0.0.1:$P3"
-PEERS="n1=$A1,n2=$A2,n3=$A3"
+cluster_ports $((20000 + ($$ + SEED) % 20000))
 
-addr_of() {
-    case $1 in
-    n1) echo "$A1" ;;
-    n2) echo "$A2" ;;
-    n3) echo "$A3" ;;
-    esac
-}
-
-start_node() {
-    # $1 = node ID, $2 = port, $3 = extra flags appended verbatim
-    # shellcheck disable=SC2086
-    "$WORK/layoutd" -addr "127.0.0.1:$2" -jobs 2 -queue 8 \
-        -node-id "$1" -peers "$PEERS" -replicas $RF -health-interval 250ms \
-        -antientropy 500ms -store-dir "$WORK/store-$1" \
-        -upload-dir "$WORK/uploads-$1" ${3:-} >>"$WORK/$1.log" 2>&1 &
-    eval "PID_$1=$!"
-    PIDS="$PIDS $!"
+# chaos_node starts node $1 on port $2 with anti-entropy and resumable
+# uploads on; $3 = extra flags.
+chaos_node() {
+    start_node "$1" "$2" "-antientropy 500ms -upload-dir $WORK/uploads-$1 ${3:-}"
 }
 
 kill_node() {
@@ -101,21 +71,6 @@ kill_node() {
     eval "pid=\$PID_$1"
     kill -9 "$pid"
     wait "$pid" 2>/dev/null || true
-}
-
-wait_healthy() {
-    # $1 = node ID; tolerates degraded (phase 3 boots into it)
-    a=$(addr_of "$1")
-    i=0
-    while ! fetch "$a/healthz" 2>/dev/null | grep -q "\"node_id\": \"$1\""; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "smoke-chaos: $1 never became healthy" >&2
-            cat "$WORK/$1.log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
 }
 
 wait_metric() {
@@ -140,11 +95,11 @@ metric() {
     echo "${v:-0}"
 }
 
-start_node n1 "$P1"
-start_node n2 "$P2"
-start_node n3 "$P3"
+chaos_node n1 "$P1"
+chaos_node n2 "$P2"
+chaos_node n3 "$P3"
 echo "smoke-chaos: nodes n1=$A1 n2=$A2 n3=$A3"
-for id in n1 n2 n3; do wait_healthy "$id"; done
+for id in n1 n2 n3; do wait_healthy "$id" node-id-only; done
 # Membership must converge before the first write, or a racing health
 # probe makes replication skip a live peer.
 for id in n1 n2 n3; do
@@ -192,8 +147,8 @@ grep -q "^layoutd_replication_dropped_total{peer=\"$VICTIM\"} " "$WORK/metrics-s
 }
 
 echo "smoke-chaos: restarting $VICTIM; anti-entropy must repair it"
-start_node "$VICTIM" "$(addr_of "$VICTIM" | sed 's/.*://')"
-wait_healthy "$VICTIM"
+chaos_node "$VICTIM" "$(addr_of "$VICTIM" | sed 's/.*://')"
+wait_healthy "$VICTIM" node-id-only
 
 wait_repaired() {
     # total layoutd_antientropy_repaired_total across all nodes > 0
@@ -216,7 +171,7 @@ wait_repaired() {
 wait_repaired
 
 # Convergence: every key any node lists is held by at least RF nodes.
-converged() {
+census_converged() {
     : >"$WORK/census.txt"
     for id in n1 n2 n3; do
         fetch "$(addr_of "$id")/v1/store?format=keys" >>"$WORK/census.txt" 2>/dev/null || return 1
@@ -224,9 +179,9 @@ converged() {
     [ -s "$WORK/census.txt" ] || return 1
     sort "$WORK/census.txt" | uniq -c | awk -v rf=$RF '$1 < rf {exit 1}'
 }
-wait_converged() {
+wait_census() {
     i=0
-    while ! converged; do
+    while ! census_converged; do
         i=$((i + 1))
         if [ "$i" -gt 300 ]; then
             echo "smoke-chaos: cluster never converged; replica census:" >&2
@@ -237,7 +192,7 @@ wait_converged() {
         sleep 0.1
     done
 }
-wait_converged
+wait_census
 echo "smoke-chaos: every key on >= $RF nodes ($(sort -u "$WORK/census.txt" | wc -l) distinct keys)"
 
 # Zero-recompute baseline: nothing after this point may optimize.
@@ -256,8 +211,8 @@ if command -v curl >/dev/null 2>&1; then
         --data-binary @"$WORK/part1" "$VADDR/v1/uploads/$UPLOAD_ID" >/dev/null
 
     kill_node "$VICTIM"
-    start_node "$VICTIM" "${VADDR##*:}"
-    wait_healthy "$VICTIM"
+    chaos_node "$VICTIM" "${VADDR##*:}"
+    wait_healthy "$VICTIM" node-id-only
 
     fetch "$VADDR/v1/uploads/$UPLOAD_ID" >"$WORK/recovered.json"
     grep -q "\"offset\": $CHUNK1" "$WORK/recovered.json" || {
@@ -293,8 +248,8 @@ if command -v curl >/dev/null 2>&1; then
 else
     echo "smoke-chaos: curl not found; restart-only upload check via layoutctl"
     kill_node "$VICTIM"
-    start_node "$VICTIM" "${VADDR##*:}"
-    wait_healthy "$VICTIM"
+    chaos_node "$VICTIM" "${VADDR##*:}"
+    wait_healthy "$VICTIM" node-id-only
     "$WORK/layoutctl" -addr "$VADDR" -upload "$WORK/t1.trace" \
         -prog "$PROG" -opt "$OPT" -wait >"$WORK/resumed.json"
 fi
@@ -310,8 +265,8 @@ echo "smoke-chaos: resumed upload finalized to a cache hit on the oracle digest"
 if command -v curl >/dev/null 2>&1 && command -v sha256sum >/dev/null 2>&1; then
     echo "smoke-chaos: phase 3: restart $VICTIM with every disk write failing"
     kill_node "$VICTIM"
-    start_node "$VICTIM" "${VADDR##*:}" "-fault-spec write:every=1,err=ENOSPC"
-    wait_healthy "$VICTIM"
+    chaos_node "$VICTIM" "${VADDR##*:}" "-fault-spec write:every=1,err=ENOSPC"
+    wait_healthy "$VICTIM" node-id-only
 
     # The converged victim holds everything already, so no organic write
     # arrives to trip the breaker; push a fresh content-addressed blob at
@@ -355,10 +310,10 @@ fi
 
 echo "smoke-chaos: final clean restart of $VICTIM; cluster must converge"
 kill_node "$VICTIM"
-start_node "$VICTIM" "${VADDR##*:}"
-wait_healthy "$VICTIM"
+chaos_node "$VICTIM" "${VADDR##*:}"
+wait_healthy "$VICTIM" node-id-only
 wait_metric "$VICTIM" '^layoutd_store_state 1$' "store healthy again"
-wait_converged
+wait_census
 echo "smoke-chaos: converged after the fault burst"
 
 # Zero recompute: the whole repair/resume/fault schedule never ran an

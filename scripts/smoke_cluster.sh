@@ -19,14 +19,6 @@
 set -eu
 
 . "$(dirname "$0")/lib.sh"
-PIDS=""
-cleanup() {
-    for pid in $PIDS; do
-        kill -9 "$pid" 2>/dev/null || true
-    done
-    [ "$KEEP_WORK" = 1 ] || rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 PROG=458.sjeng
 OPT=func-affinity
@@ -39,71 +31,14 @@ go build -o "$WORK/tracedump" ./cmd/tracedump
 echo "smoke-cluster: recording a $PROG trace"
 "$WORK/tracedump" -prog "$PROG" -record "$WORK/t" -gran bb
 
-# Static membership needs URLs up front, so ports are picked from a
-# PID-salted base instead of :0 + ready-file.
-BASE=$((20000 + $$ % 20000))
-P1=$BASE
-P2=$((BASE + 1))
-P3=$((BASE + 2))
-A1="http://127.0.0.1:$P1"
-A2="http://127.0.0.1:$P2"
-A3="http://127.0.0.1:$P3"
-PEERS="n1=$A1,n2=$A2,n3=$A3"
-
-start_node() {
-    # $1 = node ID, $2 = port
-    "$WORK/layoutd" -addr "127.0.0.1:$2" -jobs 2 -queue 8 \
-        -node-id "$1" -peers "$PEERS" -replicas 2 -health-interval 250ms \
-        -store-dir "$WORK/store-$1" >"$WORK/$1.log" 2>&1 &
-    eval "PID_$1=$!"
-    PIDS="$PIDS $!"
-}
-
+cluster_ports $((20000 + $$ % 20000))
 start_node n1 "$P1"
 start_node n2 "$P2"
 start_node n3 "$P3"
 echo "smoke-cluster: nodes n1=$A1 n2=$A2 n3=$A3"
-
-wait_healthy() {
-    # $1 = node addr, $2 = node ID
-    i=0
-    while ! fetch "$1/healthz" 2>/dev/null | grep -q '"status": "ok"'; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "smoke-cluster: $2 never became healthy" >&2
-            cat "$WORK/$2.log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    fetch "$1/healthz" | grep -q "\"node_id\": \"$2\"" || {
-        echo "smoke-cluster: $2 healthz lacks its node_id" >&2
-        exit 1
-    }
-}
-wait_healthy "$A1" n1
-wait_healthy "$A2" n2
-wait_healthy "$A3" n3
-
-# Wait for membership to converge: the very first health poll races the
-# other nodes' listeners and may mark them down; a write before the next
-# poll would skip its replica push. Each node must see both peers up.
-wait_converged() {
-    # $1 = node addr, $2 = node ID
-    i=0
-    while [ "$(fetch "$1/metrics" | grep -c '^layoutd_peer_health{peer="n[0-9]*"} 2$')" != 2 ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "smoke-cluster: $2 never saw both peers up" >&2
-            fetch "$1/metrics" | grep '^layoutd_peer_health' >&2 || true
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-wait_converged "$A1" n1
-wait_converged "$A2" n2
-wait_converged "$A3" n3
+for id in n1 n2 n3; do wait_healthy "$id"; done
+# Membership must converge before the first write.
+for id in n1 n2 n3; do wait_converged "$id"; done
 
 echo "smoke-cluster: submitting job to n1"
 "$WORK/layoutctl" -addr "$A1" -submit "$WORK/t.trace" \

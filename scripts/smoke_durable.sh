@@ -17,14 +17,6 @@
 set -eu
 
 . "$(dirname "$0")/lib.sh"
-DAEMON_PID=""
-cleanup() {
-    if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill -9 "$DAEMON_PID" 2>/dev/null || true
-    fi
-    [ "$KEEP_WORK" = 1 ] || rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 PROG=458.sjeng
 OPT=func-affinity
@@ -45,6 +37,7 @@ start_daemon() {
         -store-dir "$WORK/store" $1 \
         -ready-file "$WORK/addr" >"$2" 2>&1 &
     DAEMON_PID=$!
+    PIDS="$PIDS $!"
     i=0
     while [ ! -s "$WORK/addr" ]; do
         i=$((i + 1))
@@ -90,7 +83,7 @@ fetch "$ADDR/v1/layouts/$DIGEST" >"$WORK/layout1.json"
 echo "smoke-durable: SIGKILL (simulated crash, no drain)"
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
+PIDS=""
 
 echo "smoke-durable: restarting layoutd on the same store"
 start_daemon "" "$WORK/layoutd2.log"
@@ -127,7 +120,7 @@ while kill -0 "$DAEMON_PID" 2>/dev/null; do
 done
 wait "$DAEMON_PID" 2>/dev/null || true
 grep -q 'drained cleanly' "$WORK/layoutd2.log"
-DAEMON_PID=""
+PIDS=""
 
 echo "smoke-durable: starting layoutd with every disk write failing (ENOSPC)"
 rm -rf "$WORK/store"
@@ -169,6 +162,6 @@ while kill -0 "$DAEMON_PID" 2>/dev/null; do
     sleep 0.1
 done
 wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
+PIDS=""
 
 echo "smoke-durable: OK"

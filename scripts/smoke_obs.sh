@@ -23,14 +23,6 @@
 set -eu
 
 . "$(dirname "$0")/lib.sh"
-PIDS=""
-cleanup() {
-    for pid in $PIDS; do
-        kill -9 "$pid" 2>/dev/null || true
-    done
-    [ "$KEEP_WORK" = 1 ] || rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 PROG=458.sjeng
 OPT=func-affinity
@@ -61,67 +53,16 @@ post_traced() {
     fi
 }
 
-# Static membership needs URLs up front, so ports are picked from a
-# PID-salted base instead of :0 + ready-file.
-BASE=$((22000 + $$ % 20000))
-P1=$BASE
-P2=$((BASE + 1))
-P3=$((BASE + 2))
-A1="http://127.0.0.1:$P1"
-A2="http://127.0.0.1:$P2"
-A3="http://127.0.0.1:$P3"
-PEERS="n1=$A1,n2=$A2,n3=$A3"
-
-start_node() {
-    # $1 = node ID, $2 = port
-    "$WORK/layoutd" -addr "127.0.0.1:$2" -jobs 2 -queue 8 \
-        -node-id "$1" -peers "$PEERS" -replicas 2 -health-interval 250ms \
-        -runtime-sample 500ms \
-        -store-dir "$WORK/store-$1" >>"$WORK/$1.log" 2>&1 &
-    eval "PID_$1=$!"
-    PIDS="$PIDS $!"
-}
-
-start_node n1 "$P1"
-start_node n2 "$P2"
-start_node n3 "$P3"
+cluster_ports $((22000 + $$ % 20000))
+SAMPLE="-runtime-sample 500ms"
+start_node n1 "$P1" "$SAMPLE"
+start_node n2 "$P2" "$SAMPLE"
+start_node n3 "$P3" "$SAMPLE"
 echo "smoke-obs: nodes n1=$A1 n2=$A2 n3=$A3"
-
-wait_healthy() {
-    # $1 = node addr, $2 = node ID
-    i=0
-    while ! fetch "$1/healthz" 2>/dev/null | grep -q '"status": "ok"'; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "smoke-obs: $2 never became healthy" >&2
-            cat "$WORK/$2.log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-wait_healthy "$A1" n1
-wait_healthy "$A2" n2
-wait_healthy "$A3" n3
-
-# Each node must see both peers up before writes, or the first health
-# poll racing the listeners could suppress forwards and replication.
-wait_converged() {
-    # $1 = node addr, $2 = node ID
-    i=0
-    while [ "$(fetch "$1/metrics" | grep -c '^layoutd_peer_health{peer="n[0-9]*"} 2$')" != 2 ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "smoke-obs: $2 never saw both peers up" >&2
-            fetch "$1/metrics" | grep '^layoutd_peer_health' >&2 || true
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-wait_converged "$A1" n1
-wait_converged "$A2" n2
-wait_converged "$A3" n3
+for id in n1 n2 n3; do wait_healthy "$id"; done
+# Membership must converge before writes, or the first health poll
+# racing the listeners could suppress forwards and replication.
+for id in n1 n2 n3; do wait_converged "$id"; done
 
 echo "smoke-obs: submitting job to n1 to learn the owner"
 "$WORK/layoutctl" -addr "$A1" -submit "$WORK/t.trace" \
@@ -221,8 +162,8 @@ done
 fetch "$A1/v1/debug/events" | grep -q '"node": "n3"'
 
 echo "smoke-obs: restarting n3; the event ring must record peer_up"
-start_node n3 "$P3"
-wait_healthy "$A3" n3
+start_node n3 "$P3" "$SAMPLE"
+wait_healthy n3
 i=0
 while ! fetch "$A1/v1/debug/events" | grep -q '"kind": "peer_up"'; do
     i=$((i + 1))

@@ -17,14 +17,6 @@
 set -eu
 
 . "$(dirname "$0")/lib.sh"
-DAEMON_PID=""
-cleanup() {
-    if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill -9 "$DAEMON_PID" 2>/dev/null || true
-    fi
-    [ "$KEEP_WORK" = 1 ] || rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 PROG=458.sjeng
 OPT=func-affinity
@@ -41,6 +33,7 @@ echo "smoke-serve: starting layoutd"
 "$WORK/layoutd" -addr 127.0.0.1:0 -jobs 2 -queue 8 \
     -ready-file "$WORK/addr" >"$WORK/layoutd.log" 2>&1 &
 DAEMON_PID=$!
+PIDS="$PIDS $!"
 
 i=0
 while [ ! -s "$WORK/addr" ]; do
@@ -119,7 +112,7 @@ while kill -0 "$DAEMON_PID" 2>/dev/null; do
 done
 wait "$DAEMON_PID" 2>/dev/null || true
 grep -q 'drained cleanly' "$WORK/layoutd.log"
-DAEMON_PID=""
+PIDS=""
 
 echo "smoke-serve: checking structured logs carry trace IDs"
 grep -q '"msg":"job accepted"' "$WORK/layoutd.log"

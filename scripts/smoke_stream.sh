@@ -29,14 +29,6 @@ set -eu
 
 . "$(dirname "$0")/lib.sh"
 command -v jq >/dev/null 2>&1 || { echo "smoke-stream: jq is required" >&2; exit 1; }
-DAEMON_PID=""
-cleanup() {
-    if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill -9 "$DAEMON_PID" 2>/dev/null || true
-    fi
-    [ "$KEEP_WORK" = 1 ] || rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 PROG=458.sjeng
 OPT=func-affinity
@@ -70,6 +62,7 @@ start_daemon() {
     env ${3:+GOMEMLIMIT=$3} "$WORK/layoutd" -addr 127.0.0.1:0 -jobs 2 -queue 8 \
         -opt-workers 4 $1 -ready-file "$WORK/addr" >"$2" 2>&1 &
     DAEMON_PID=$!
+    PIDS="$PIDS $!"
     i=0
     while [ ! -s "$WORK/addr" ]; do
         i=$((i + 1))
@@ -100,7 +93,7 @@ stop_daemon() {
         sleep 0.1
     done
     wait "$DAEMON_PID" 2>/dev/null || true
-    DAEMON_PID=""
+    PIDS=""
 }
 
 # outcome prints what a job computed: the report (sequence included)
