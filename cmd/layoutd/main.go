@@ -60,7 +60,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	jobs := flag.Int("jobs", 0, "concurrent optimization jobs: 0 = all cores")
 	queue := flag.Int("queue", server.DefaultQueueDepth, "queued-job limit before submissions get 429")
-	optWorkers := flag.Int("opt-workers", 1, "analysis concurrency inside one job: 0 = all cores")
+	optWorkers := flag.Int("opt-workers", 1, "analysis concurrency inside one job, for streamed uploads of any length: 0 = all cores")
 	jobTimeout := flag.Duration("job-timeout", server.DefaultJobTimeout, "per-job deadline, queue wait included")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight jobs at shutdown")
 	maxTrace := flag.Int64("max-trace-bytes", server.DefaultMaxTraceBytes, "upload size cap")

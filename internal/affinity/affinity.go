@@ -25,11 +25,12 @@ package affinity
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sort"
 
 	"codelayout/internal/flathash"
 	"codelayout/internal/obs"
-	"codelayout/internal/parallel"
 	"codelayout/internal/trace"
 )
 
@@ -167,15 +168,14 @@ func BuildHierarchy(t *trace.Trace, opt Options) *Hierarchy {
 // ctx's error returned.
 //
 // The buffered build is the streaming Feeder fed the whole trimmed trace
-// at once, cut into one shard per worker: there is one dispatch-and-merge
-// path, and "streamed equals buffered" is a property of how the trace is
-// chunked.
+// at once with no arrival cuts, so Finish cuts it into one shard per
+// worker: there is one dispatch-and-merge path, and "streamed equals
+// buffered" is a property of how the trace is chunked.
 func BuildHierarchyCtx(ctx context.Context, t *trace.Trace, opt Options) (*Hierarchy, error) {
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
 	tt := t.Trimmed()
-	workers := parallel.Workers(opt.Workers)
-	f := newFeeder(ctx, opt, (len(tt.Syms)+workers-1)/workers)
+	f := newFeeder(ctx, opt, math.MaxInt)
 	if err := f.Feed(tt.Syms); err != nil {
 		f.Abort()
 		return nil, err
@@ -184,17 +184,103 @@ func BuildHierarchyCtx(ctx context.Context, t *trace.Trace, opt Options) (*Hiera
 }
 
 // buildLevels fills hierarchy levels 2..wmax from the per-pair minimal
-// affinity windows. Level w's affine-pair set is the threshold query
-// minW(pair) <= w, answered directly against the flat table — no
-// per-level set materialization. The merge chain is sequential because
-// level w merges whole groups of level w-1 (lower-level precedence), but
-// it is cheap next to the stack passes.
+// affinity windows: Algorithm 1's greedy merge with lower-level
+// precedence, as naiveLevels states it, where each unit of level w-1
+// joins the first group of level w (in creation order) with which every
+// cross pair is affine at w, or starts a new group. The merge chain is
+// sequential, since level w merges whole groups of level w-1, so it runs
+// on an index instead of trying every group: a group can take a unit
+// only if all its members are affine at w with the unit's first block,
+// and counting that block's affine partners per group finds exactly
+// those groups. Only they get the full cross-pair check.
+//
+// Units arrive in first-occurrence order of their first block, and a
+// group's first block is its creating unit's, so groups come out in
+// first-occurrence order with no sort.
 func buildLevels(h *Hierarchy, wmax int, minW *flathash.Sum64) {
+	off, partners := partnerIndex(len(h.firstOcc), minW)
+	n := len(h.Levels[0].Groups)
+	groupOf := make([]int32, len(h.firstOcc)) // symbol -> group at this level
+	count := make([]int32, n)                 // affine partners per group, stamped
+	stamp := make([]int32, n)
+	var cands []int32
+	epoch := int32(0)
 	prev := h.Levels[0]
 	for w := 2; w <= wmax; w++ {
-		prev = mergeLevel(prev, w, minW, h.firstOcc)
+		for _, unit := range prev.Groups {
+			for _, s := range unit {
+				groupOf[s] = -1
+			}
+		}
+		groups := make([][]int32, 0, len(prev.Groups))
+		for _, unit := range prev.Groups {
+			epoch++
+			cands = cands[:0]
+			for _, p := range partners[off[unit[0]]:off[unit[0]+1]] {
+				if int(p.w) > w {
+					break
+				}
+				g := groupOf[p.sym]
+				if g < 0 {
+					continue
+				}
+				if stamp[g] != epoch {
+					stamp[g], count[g] = epoch, 0
+				}
+				if count[g]++; int(count[g]) == len(groups[g]) {
+					cands = append(cands, g)
+				}
+			}
+			slices.Sort(cands)
+			target := int32(len(groups))
+			for _, g := range cands {
+				if unitCompatible(unit[1:], groups[g], minW, int64(w)) {
+					target = g
+					break
+				}
+			}
+			if int(target) == len(groups) {
+				groups = append(groups, nil)
+			}
+			groups[target] = append(groups[target], unit...)
+			for _, s := range unit {
+				groupOf[s] = target
+			}
+		}
+		prev = Partition{W: w, Groups: groups}
 		h.Levels[w-1] = prev
 	}
+}
+
+// partner is one entry of a symbol's affine-partner list: the partner
+// and the pair's minimal affine window.
+type partner struct{ sym, w int32 }
+
+// partnerIndex lists every symbol's affine partners from the minimal
+// window table, each list sorted by window: symbol s's partners are
+// partners[off[s]:off[s+1]].
+func partnerIndex(nsym int, minW *flathash.Sum64) (off []int32, partners []partner) {
+	off = make([]int32, nsym+1)
+	minW.ForEach(func(key, _ int64) {
+		off[key>>32+1]++
+		off[key&0xffffffff+1]++
+	})
+	for s := 1; s <= nsym; s++ {
+		off[s] += off[s-1]
+	}
+	partners = make([]partner, off[nsym])
+	next := slices.Clone(off[:nsym])
+	minW.ForEach(func(key, w int64) {
+		a, b := int32(key>>32), int32(key&0xffffffff)
+		partners[next[a]] = partner{b, int32(w)}
+		partners[next[b]] = partner{a, int32(w)}
+		next[a]++
+		next[b]++
+	})
+	for s := 0; s < nsym; s++ {
+		slices.SortFunc(partners[off[s]:off[s+1]], func(x, y partner) int { return int(x.w - y.w) })
+	}
+	return off, partners
 }
 
 // minShardSpan is the smallest shard the sharded stack passes accept, in
@@ -228,13 +314,33 @@ func reduceMinW(pairs *flathash.Slab32, occCount []int64, wmax int, arena *Arena
 	return minW
 }
 
+// passSpan is the most occurrences one run of the two stack passes
+// covers. The forward pass keeps wmax partners per occurrence for the
+// backward pass, so a shard runs its passes block by block: the
+// snapshot buffer stays at passSpan*wmax entries (640 KB at wmax 20)
+// whatever the shard length, for a warm-up replay of about wmax
+// distinct symbols on each side of each block.
+const passSpan = 1 << 13
+
 // shardPairHists runs the two stack passes over positions [lo, hi) and
 // accumulates the shard's per-pair coverage histograms into st.pairs:
 // counts[dir*(wmax+1)+d] counts occurrences of the dir-side symbol whose
-// minimal coverage footprint is d.
+// minimal coverage footprint is d. The histograms sum exactly over any
+// contiguous split (DESIGN.md §7), so the passes run block by block into
+// the one table.
 func shardPairHists(ctx context.Context, st *shardState, syms []int32, maxSym int32, wmax, lo, hi int) error {
 	st.prepare(maxSym, 2*(wmax+1))
+	for b := lo; b < hi; b += passSpan {
+		if err := st.blockPairHists(ctx, syms, maxSym, wmax, b, min(b+passSpan, hi)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// blockPairHists is shardPairHists' two stack passes over one block
+// [lo, hi).
+func (st *shardState) blockPairHists(ctx context.Context, syms []int32, maxSym int32, wmax, lo, hi int) error {
 	// Pass 1 (forward): snapshot for each position the top wmax of the
 	// LRU stack straight into the span buffer, in depth order. Entry 0 of
 	// a span is the current symbol itself (the stack top, depth 1), so the
@@ -402,45 +508,6 @@ func newHierarchyShellFrom(firstOcc []int32, occCount []int64, order []int32, wm
 		h.Levels[w-1] = base // overwritten by the builder; harmless default
 	}
 	return h
-}
-
-// mergeLevel forms the partition at window w by greedily merging the
-// previous level's groups (Algorithm 1 with lower-level precedence):
-// units are considered in first-occurrence order; a unit joins the first
-// existing group with which *every* cross pair of blocks is affine at
-// w, otherwise it starts a new group.
-func mergeLevel(prev Partition, w int, minW *flathash.Sum64, firstOcc []int32) Partition {
-	type group struct {
-		members []int32
-	}
-	var groups []*group
-	for _, unit := range prev.Groups {
-		placed := false
-		for _, g := range groups {
-			if unitCompatible(unit, g.members, minW, int64(w)) {
-				g.members = append(g.members, unit...)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, &group{members: append([]int32(nil), unit...)})
-		}
-	}
-	// Units joined a group in first-occurrence order and stay contiguous
-	// inside it, so lower-level groups remain adjacent in the sequence
-	// (the bottom-up traversal property). Groups were also created in
-	// first-occurrence order of their first unit, so no re-sorting is
-	// needed — and none is allowed, since sorting members would tear
-	// units apart.
-	out := Partition{W: w, Groups: make([][]int32, len(groups))}
-	for i, g := range groups {
-		out.Groups[i] = g.members
-	}
-	sort.SliceStable(out.Groups, func(a, b int) bool {
-		return firstOcc[out.Groups[a][0]] < firstOcc[out.Groups[b][0]]
-	})
-	return out
 }
 
 // unitCompatible reports whether every cross pair between unit and

@@ -17,10 +17,11 @@ const defaultFeedShardSpan = 1 << 16
 // that arrives in chunks — layoutd feeding decoded upload chunks into
 // the kernel while the rest of the trace is still on the network. It is
 // the analysis' only dispatch-and-merge path: BuildHierarchyCtx is one
-// Feed of the whole trace cut into one shard per worker. The per-shard
-// coverage histograms sum exactly for ANY contiguous sharding, so shards
-// cut at arrival-dictated boundaries merge to the same minimal-window
-// table as any other chunking of the same trace.
+// Feed of the whole trace with no arrival cuts, so Finish cuts it into
+// one shard per worker. The per-shard coverage histograms sum exactly
+// for ANY contiguous sharding, so shards cut at arrival-dictated
+// boundaries merge to the same minimal-window table as any other
+// chunking of the same trace.
 //
 // The feeder keeps a single slab: the undispatched body plus just
 // enough preceding context for the next shard's warm-up replay. When
@@ -34,10 +35,15 @@ const defaultFeedShardSpan = 1 << 16
 // the pending shard is held until Finish, degrading memory to the tail
 // length but never correctness.
 //
+// Finish cuts the undispatched tail into one shard per worker (each at
+// least minShardSpan*wmax), all over the final slab, so a stream shorter
+// than the shard span still runs on every worker.
+//
 // A Feeder is not safe for concurrent use; call Feed from one
 // goroutine, then exactly one of Finish or Abort.
 type Feeder struct {
 	wmax        int
+	workers     int
 	shardTarget int
 	arena       *Arena
 	pool        *parallel.FeedPool
@@ -83,6 +89,7 @@ func newFeeder(ctx context.Context, opt Options, span int) *Feeder {
 	}
 	return &Feeder{
 		wmax:        wmax,
+		workers:     parallel.Workers(opt.Workers),
 		shardTarget: max(span, minShardSpan*wmax),
 		arena:       opt.Arena,
 		pool:        parallel.NewFeedPool(ctx, opt.Workers),
@@ -150,7 +157,7 @@ func (f *Feeder) Feed(chunk []int32) error {
 				f.seen[s] = f.seenEpoch
 				f.distinct++
 				if f.distinct >= f.wmax {
-					if err := f.dispatch(f.pendingHi, false); err != nil {
+					if err := f.dispatch(f.pendingHi); err != nil {
 						f.err = err
 						return err
 					}
@@ -200,34 +207,55 @@ func (f *Feeder) putSlab(s []int32) {
 }
 
 // dispatch freezes the current slab and hands shard [f.body, hi) to the
-// pool. Unless the shard is the last one, the feeder continues on a
-// fresh slab that starts at the shard's own warm-up boundary, so the
-// next shard warms up exactly as the full-trace simulation would. The
-// fresh slab is filled before the shard runs: at Workers=1 it runs
-// inline and recycles the old slab on return.
-func (f *Feeder) dispatch(hi int, last bool) error {
-	lo, slab, maxSym, wmax := f.body, f.slab, f.maxSym, f.wmax
-	if last {
-		f.slab = nil
-	} else {
-		p := f.warmStart(hi)
-		f.slab = append(f.getSlab(f.shardTarget+2*f.wmax), slab[p:]...)
-		f.body = hi - p
-		f.pendingHi = -1
+// pool. The feeder continues on a fresh slab that starts at the shard's
+// own warm-up boundary, so the next shard warms up exactly as the
+// full-trace simulation would. The fresh slab is filled before the shard
+// runs: at Workers=1 it runs inline and recycles the old slab on return.
+func (f *Feeder) dispatch(hi int) error {
+	lo, slab := f.body, f.slab
+	p := f.warmStart(hi)
+	f.slab = append(f.getSlab(f.shardTarget+2*f.wmax), slab[p:]...)
+	f.body = hi - p
+	f.pendingHi = -1
+	return f.submit(slab, lo, hi, true)
+}
+
+// dispatchTail hands the undispatched body to the pool as one shard per
+// worker, each at least minShardSpan*wmax long. The shards share the
+// final slab read-only: it already holds every shard's backward warm-up
+// context and, running to the trace end, every forward one. Nothing is
+// fed after Finish, so the shared slab is never recycled.
+func (f *Feeder) dispatchTail() {
+	slab, lo := f.slab, f.body
+	f.slab = nil
+	for _, c := range parallel.Chunks(len(slab)-lo, f.workers, minShardSpan*f.wmax) {
+		if f.submit(slab, lo+c[0], lo+c[1], false) != nil {
+			return // the failure resurfaces from Wait
+		}
 	}
+}
+
+// submit hands shard [lo, hi) of slab to the pool, returning the slab to
+// the feeder's pool when the shard ends if recycle is set.
+func (f *Feeder) submit(slab []int32, lo, hi int, recycle bool) error {
+	maxSym, wmax := f.maxSym, f.wmax
 	st := f.arena.getShard()
 	f.states = append(f.states, st)
 	return f.pool.Submit(func(ctx context.Context) error {
 		err := shardPairHists(ctx, st, slab, maxSym, wmax, lo, hi)
-		f.putSlab(slab)
+		if recycle {
+			f.putSlab(slab)
+		}
 		return err
 	})
 }
 
-// Finish seals the stream: the remaining body becomes the last shard
-// (its backward warm-up span ends at the true trace end), every shard's
-// histograms merge in trace order, and the hierarchy levels are built
-// from the merged table. It records one affinity.hierarchy span.
+// Finish seals the stream: the remaining body becomes the last shards,
+// one per worker (their forward warm-up spans end at the true trace
+// end at the latest), every shard's histograms merge in trace order, and
+// the hierarchy levels are built from the merged table. It records one
+// affinity.hierarchy span, whose shards attribute counts every shard
+// the stream ran.
 func (f *Feeder) Finish(ctx context.Context) (*Hierarchy, error) {
 	sp := obs.StartSpan(ctx, "affinity.hierarchy")
 	defer sp.End()
@@ -240,8 +268,9 @@ func (f *Feeder) finish(sp obs.Span) (*Hierarchy, error) {
 	sp.SetAttr("trace_len", int64(f.n))
 	sp.SetAttr("wmax", int64(f.wmax))
 	if f.err == nil && f.body < len(f.slab) {
-		_ = f.dispatch(len(f.slab), true) // a failure resurfaces from Wait
+		f.dispatchTail()
 	}
+	sp.SetAttr("shards", int64(len(f.states)))
 	if err := f.pool.Wait(); err != nil {
 		f.release()
 		return nil, err

@@ -78,6 +78,60 @@ func TestFeederMatchesBuffered(t *testing.T) {
 	}
 }
 
+// TestFeederShortStreamUsesWorkers: a stream shorter than the shard span
+// reaches Finish undispatched, and Finish cuts it into one shard per
+// worker, as the affinity.hierarchy span's shards attribute shows. The
+// hierarchy is unchanged: equal to the Workers=1 stream, and on a
+// prefix short enough for the quadratic oracle, to BuildHierarchyNaive.
+func TestFeederShortStreamUsesWorkers(t *testing.T) {
+	tr := phasedTrace(rand.New(rand.NewSource(15)), 6000, 400, 12)
+	prefix := trace.New(tr.Syms[:700])
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		want *Hierarchy
+	}{
+		{"whole", tr, BuildHierarchy(tr, Options{Workers: 1})},
+		{"prefix", prefix, BuildHierarchyNaive(prefix, Options{})},
+	}
+	for _, c := range cases {
+		if n := c.tr.Trimmed().Len(); n >= defaultFeedShardSpan {
+			t.Fatalf("%s: %d trimmed references, want fewer than the shard span", c.name, n)
+		}
+		for _, workers := range []int{1, 2} {
+			rec := obs.NewRecorder(4)
+			ctx := obs.WithRecorder(context.Background(), rec)
+			f := NewFeeder(ctx, Options{Workers: workers})
+			for syms := c.tr.Syms; len(syms) > 0; syms = syms[min(256, len(syms)):] {
+				if err := f.Feed(syms[:min(256, len(syms))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h, err := f.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(h.Levels, c.want.Levels) {
+				t.Fatalf("%s workers=%d: streamed hierarchy differs", c.name, workers)
+			}
+			spans, _ := rec.Snapshot()
+			if got := spanAttr(spans[0], "shards"); got != int64(workers) {
+				t.Errorf("%s workers=%d: span shards = %d, want %d", c.name, workers, got, workers)
+			}
+		}
+	}
+}
+
+// spanAttr returns the value of the span's attribute key, or -1.
+func spanAttr(sp obs.SpanData, key string) int64 {
+	for _, a := range sp.Attrs[:sp.NAttr] {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return -1
+}
+
 // TestFeederUntrimmedInput: the feeder trims across chunk boundaries —
 // a run of one symbol split over many Feed calls collapses exactly as
 // the buffered path's up-front Trimmed() does.
@@ -186,8 +240,8 @@ func TestBuildHierarchyCtxSpanAndCancel(t *testing.T) {
 		for _, a := range spans[0].Attrs[:spans[0].NAttr] {
 			attrs[a.Key] = a.Value
 		}
-		if attrs["trace_len"] != int64(tr.Trimmed().Len()) || attrs["wmax"] != 6 {
-			t.Errorf("workers=%d: span attrs = %v, want trace_len=%d wmax=6", workers, attrs, tr.Trimmed().Len())
+		if attrs["trace_len"] != int64(tr.Trimmed().Len()) || attrs["wmax"] != 6 || attrs["shards"] != int64(workers) {
+			t.Errorf("workers=%d: span attrs = %v, want trace_len=%d wmax=6 shards=%d", workers, attrs, tr.Trimmed().Len(), workers)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,8 @@
 package affinity
 
 import (
+	"sort"
+
 	"codelayout/internal/flathash"
 	"codelayout/internal/trace"
 )
@@ -30,8 +32,57 @@ func BuildHierarchyNaive(t *trace.Trace, opt Options) *Hierarchy {
 	for k, w := range pairMinWindows(tt.Syms) {
 		minW.Set(k, int64(w))
 	}
-	buildLevels(h, wmax, minW)
+	naiveLevels(h, wmax, minW)
 	return h
+}
+
+// naiveLevels is buildLevels as Algorithm 1 states it: at each level,
+// every unit tries the groups formed so far in creation order.
+func naiveLevels(h *Hierarchy, wmax int, minW *flathash.Sum64) {
+	prev := h.Levels[0]
+	for w := 2; w <= wmax; w++ {
+		prev = mergeLevel(prev, w, minW, h.firstOcc)
+		h.Levels[w-1] = prev
+	}
+}
+
+// mergeLevel forms the partition at window w by greedily merging the
+// previous level's groups (Algorithm 1 with lower-level precedence):
+// units are considered in first-occurrence order; a unit joins the first
+// existing group with which *every* cross pair of blocks is affine at
+// w, otherwise it starts a new group.
+func mergeLevel(prev Partition, w int, minW *flathash.Sum64, firstOcc []int32) Partition {
+	type group struct {
+		members []int32
+	}
+	var groups []*group
+	for _, unit := range prev.Groups {
+		placed := false
+		for _, g := range groups {
+			if unitCompatible(unit, g.members, minW, int64(w)) {
+				g.members = append(g.members, unit...)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			groups = append(groups, &group{members: append([]int32(nil), unit...)})
+		}
+	}
+	// Units joined a group in first-occurrence order and stay contiguous
+	// inside it, so lower-level groups remain adjacent in the sequence
+	// (the bottom-up traversal property). Groups were also created in
+	// first-occurrence order of their first unit, so no re-sorting is
+	// needed — and none is allowed, since sorting members would tear
+	// units apart.
+	out := Partition{W: w, Groups: make([][]int32, len(groups))}
+	for i, g := range groups {
+		out.Groups[i] = g.members
+	}
+	sort.SliceStable(out.Groups, func(a, b int) bool {
+		return firstOcc[out.Groups[a][0]] < firstOcc[out.Groups[b][0]]
+	})
+	return out
 }
 
 // pairMinWindows returns, for every symbol pair, the smallest w at which

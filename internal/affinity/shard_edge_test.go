@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -158,5 +159,36 @@ func TestShardBoundarySingleSymbol(t *testing.T) {
 		if got := h.Sequence(); len(got) != 1 || got[0] != 9 {
 			t.Fatalf("workers=%d: sequence = %v, want [9]", workers, got)
 		}
+	}
+}
+
+// TestShardPassBlocksMatchOnePass: a shard longer than passSpan runs its
+// stack passes block by block, each block warming up on its own; the
+// histograms must equal one pass over the whole shard, on shards that
+// start and end inside the trace and blocks that end on its last symbol.
+func TestShardPassBlocksMatchOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const wmax = 12
+	tt := phasedTrace(rng, 3*passSpan+777, 900, 20).Trimmed()
+	n := len(tt.Syms)
+	for _, span := range [][2]int{{0, n}, {123, n - 456}, {passSpan - 5, 2*passSpan + 5}} {
+		lo, hi := span[0], span[1]
+		blocked := &shardState{}
+		if err := shardPairHists(context.Background(), blocked, tt.Syms, tt.MaxSym(), wmax, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		whole := &shardState{}
+		whole.prepare(tt.MaxSym(), 2*(wmax+1))
+		if err := whole.blockPairHists(context.Background(), tt.Syms, tt.MaxSym(), wmax, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if blocked.pairs.Len() != whole.pairs.Len() {
+			t.Fatalf("[%d, %d): %d pairs in blocks, %d in one pass", lo, hi, blocked.pairs.Len(), whole.pairs.Len())
+		}
+		whole.pairs.ForEach(func(key int64, counts []uint32) {
+			if got := blocked.pairs.Lookup(key); !reflect.DeepEqual(got, counts) {
+				t.Fatalf("[%d, %d) pair %x: blocks %v, one pass %v", lo, hi, key, got, counts)
+			}
+		})
 	}
 }

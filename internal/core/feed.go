@@ -7,7 +7,6 @@ import (
 	"codelayout/internal/affinity"
 	"codelayout/internal/ir"
 	"codelayout/internal/layout"
-	"codelayout/internal/obs"
 	"codelayout/internal/trace"
 	"codelayout/internal/trg"
 )
@@ -187,18 +186,11 @@ func (f *Feed) Finish(ctx context.Context) (*layout.Layout, Report, error) {
 		seq = h.Sequence()
 	case f.trgF != nil:
 		rep.TraceLen = f.trgF.N()
-		sp := obs.StartSpan(ctx, "trg.build")
 		g, err := f.trgF.Finish(ctx)
 		if err != nil {
-			sp.End()
 			return nil, rep, fmt.Errorf("core: %s analysis: %w", f.o.Name(), err)
 		}
-		sp.SetAttr("nodes", int64(len(g.Nodes())))
-		sp.End()
-		rp := obs.StartSpan(ctx, "trg.reduce")
-		seq = trg.Reduce(g, f.trgP.Slots())
-		rp.SetAttr("seq_len", int64(len(seq)))
-		rp.End()
+		seq = trg.ReduceCtx(ctx, g, f.trgP.Slots())
 		f.o.Arena.trgArena().PutGraph(g)
 	default:
 		return f.o.OptimizeCtx(ctx, &Profile{Prog: f.prog, Blocks: trace.New(f.raw)})

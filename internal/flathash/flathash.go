@@ -130,6 +130,17 @@ func (t *Sum64) Get(key int64) int64 {
 	}
 }
 
+// CopyFrom makes t a copy of src, reusing t's backing array when it is
+// large enough: one copy of the entry array, no rehashing.
+func (t *Sum64) CopyFrom(src *Sum64) {
+	if cap(t.entries) < len(src.entries) {
+		t.entries = make([]sumEntry, len(src.entries))
+	}
+	t.entries = t.entries[:len(src.entries)]
+	copy(t.entries, src.entries)
+	t.n, t.shift = src.n, src.shift
+}
+
 // ForEach visits every (key, value) pair in unspecified order. The
 // callers' downstream steps (edge sorting, heap ordered by a total
 // order) are insertion-order independent, matching the Go map iteration

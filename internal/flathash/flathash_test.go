@@ -159,3 +159,30 @@ func TestSlab32SteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state fill allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+func TestSum64CopyFrom(t *testing.T) {
+	var src, dst Sum64
+	for i := int32(1); i <= 500; i++ {
+		src.Add(pairKey(i, i+1), int64(i))
+	}
+	dst.Add(pairKey(7, 9), 1) // replaced wholesale by the copy
+	dst.CopyFrom(&src)
+	if dst.Len() != src.Len() || dst.Get(pairKey(7, 9)) != 0 {
+		t.Fatalf("copy has %d keys (want %d) and stale key value %d", dst.Len(), src.Len(), dst.Get(pairKey(7, 9)))
+	}
+	for i := int32(1); i <= 500; i++ {
+		if got := dst.Get(pairKey(i, i+1)); got != int64(i) {
+			t.Fatalf("copy Get(%d) = %d, want %d", i, got, i)
+		}
+	}
+	dst.Add(pairKey(1, 2), 100)
+	dst.Add(pairKey(600, 601), 1)
+	if src.Get(pairKey(1, 2)) != 1 || src.Get(pairKey(600, 601)) != 0 {
+		t.Fatal("writes to the copy reached the source")
+	}
+	var small Sum64
+	small.CopyFrom(&dst) // into a table too small to reuse
+	if small.Len() != dst.Len() || small.Get(pairKey(600, 601)) != 1 {
+		t.Fatal("copy into an empty table differs")
+	}
+}

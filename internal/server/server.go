@@ -92,7 +92,9 @@ type Config struct {
 	// included) to completion; 0 means DefaultJobTimeout.
 	JobTimeout time.Duration
 	// OptWorkers is the analysis concurrency inside one job (the
-	// core.Optimizer Workers knob); 0 means all cores. Serving many
+	// core.Optimizer Workers knob); 0 means all cores. It applies to
+	// streamed jobs of any length: the kernels cut the upload's tail
+	// into one shard per worker at end of stream. Serving many
 	// concurrent jobs usually wants 1 here and parallelism across jobs.
 	OptWorkers int
 	// MaxTraceBytes caps an upload; 0 means DefaultMaxTraceBytes.

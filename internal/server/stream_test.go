@@ -324,6 +324,45 @@ func TestStreamMetricsAndSpans(t *testing.T) {
 	}
 }
 
+// TestStreamedJobSpansShowOptWorkers: a streamed job's kernel spans
+// report how many shards its analysis ran, so an operator can see from
+// the job's waterfall that OptWorkers reached the kernel — also for an
+// upload shorter than the feeders' shard span.
+func TestStreamedJobSpansShowOptWorkers(t *testing.T) {
+	raw, _ := recordedTrace(t)
+	_, ts := newStreamServer(t, Config{JobWorkers: 1, QueueDepth: 4, OptWorkers: 2})
+	for opt, kernel := range map[string]string{"func-affinity": "affinity.hierarchy", "func-trg": "trg.build"} {
+		v, code := submitRaw(t, ts, raw, "prog="+testProg+"&opt="+opt)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d", opt, code)
+		}
+		if done := waitJob(t, ts, v.ID); done.Status != StatusDone {
+			t.Fatalf("%s: job %+v", opt, done)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tv traceView
+		err = json.NewDecoder(resp.Body).Decode(&tv)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := map[string]spanView{}
+		for _, sp := range tv.Spans {
+			byName[sp.Name] = sp
+		}
+		if shards := byName[kernel].Attrs["shards"]; shards < 2 {
+			t.Errorf("%s: %s span shards = %d, want >= 2 at OptWorkers 2 (spans %v)", opt, kernel, shards, spanNames(tv.Spans))
+		}
+		if reduce, ok := byName["trg.reduce"]; kernel == "trg.build" &&
+			(!ok || reduce.Attrs["nodes"] <= 0 || reduce.Attrs["edges"] <= 0) {
+			t.Errorf("%s: trg.reduce span %+v, want nodes and edges > 0", opt, reduce)
+		}
+	}
+}
+
 // ---- resumable uploads ----
 
 func newUploadServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"codelayout/internal/obs"
 	"codelayout/internal/parallel"
 )
 
@@ -14,22 +15,26 @@ const defaultFeedShardSpan = 1 << 16
 
 // Feeder constructs the TRG incrementally over a trace arriving in
 // chunks. It is the construction's only dispatch-and-merge path: BuildCtx
-// is one Feed of the whole trace cut into one shard per worker. Per-shard
-// partial graphs merge exactly for ANY contiguous sharding (weights sum,
-// node lists concatenate in trace order), so arrival-cut shards land on
-// the same graph as any other chunking of the same trace.
+// is one Feed of the whole trace with no arrival cuts, so Finish cuts it
+// into one shard per worker. Per-shard partial graphs merge exactly for
+// ANY contiguous sharding (weights sum, node lists concatenate in trace
+// order), so arrival-cut shards land on the same graph as any other
+// chunking of the same trace.
 //
 // Unlike the affinity analysis, the construction pass only warms
 // backward (the interleaving scan looks at the stack of past accesses),
 // so a shard dispatches the moment its body fills — no wait for
 // post-cut symbols. The slab kept in memory is bounded by the shard
 // span plus the warm span; dispatched slabs recycle through a pool once
-// their shard completes.
+// their shard completes. Finish cuts the undispatched tail into one
+// shard per worker (each at least minShardSpan*windowBlocks), all over
+// the final slab, the same rule as the affinity Feeder.
 //
 // A Feeder is not safe for concurrent use; call Feed from one
 // goroutine, then exactly one of Finish or Abort.
 type Feeder struct {
 	limit       int
+	workers     int
 	shardTarget int
 	arena       *Arena
 	pool        *parallel.FeedPool
@@ -65,13 +70,19 @@ func NewFeeder(ctx context.Context, windowBlocks, workers, shardSpan int, arena 
 	return newFeeder(ctx, windowBlocks, workers, shardSpan, arena)
 }
 
+// minShardSpan is the smallest shard the feeder cuts, in multiples of
+// the window: warm-up replays up to the window's distinct blocks, so a
+// shard must cover several times that to amortize the duplicated work.
+const minShardSpan = 4
+
 // newFeeder builds a feeder scanning limit distinct blocks per access and
-// cutting shards of span trimmed occurrences, at least 4*limit so the
-// warm-up replay stays amortized.
+// cutting shards of span trimmed occurrences, at least minShardSpan*limit
+// so the warm-up replay stays amortized.
 func newFeeder(ctx context.Context, limit, workers, span int, arena *Arena) *Feeder {
 	return &Feeder{
 		limit:       limit,
-		shardTarget: max(span, 4*limit),
+		workers:     parallel.Workers(workers),
+		shardTarget: max(span, minShardSpan*limit),
 		arena:       arena,
 		pool:        parallel.NewFeedPool(ctx, workers),
 		prev:        -1,
@@ -99,7 +110,7 @@ func (f *Feeder) Feed(chunk []int32) error {
 			// Cutting a full body only once the next symbol arrives leaves
 			// a trace that ends on the boundary to Finish's last shard,
 			// which needs no fresh slab.
-			if err := f.dispatch(len(f.slab), false); err != nil {
+			if err := f.dispatch(len(f.slab)); err != nil {
 				f.err = err
 				return err
 			}
@@ -158,54 +169,80 @@ func (f *Feeder) putSlab(s []int32) {
 }
 
 // dispatch freezes the current slab and hands shard [f.body, hi) to the
-// pool, building into a graph borrowed from the arena. Unless the shard
-// is the last one, the feeder continues on a fresh slab that starts at
-// the shard's warm-up boundary; it is filled before the shard runs,
-// because at Workers=1 the shard runs inline and recycles the old slab
-// on return.
-func (f *Feeder) dispatch(hi int, last bool) error {
-	lo, slab, maxSym, limit := f.body, f.slab, f.maxSym, f.limit
-	if last {
-		f.slab = nil
-	} else {
-		p := f.warmStart(hi)
-		f.slab = append(f.getSlab(f.shardTarget+f.limit), slab[p:]...)
-		f.body = hi - p
+// pool. The feeder continues on a fresh slab that starts at the shard's
+// warm-up boundary; it is filled before the shard runs, because at
+// Workers=1 the shard runs inline and recycles the old slab on return.
+func (f *Feeder) dispatch(hi int) error {
+	lo, slab := f.body, f.slab
+	p := f.warmStart(hi)
+	f.slab = append(f.getSlab(f.shardTarget+f.limit), slab[p:]...)
+	f.body = hi - p
+	return f.submit(slab, lo, hi, true)
+}
+
+// dispatchTail hands the undispatched body to the pool as one shard per
+// worker, each at least minShardSpan*limit long. The shards share the
+// final slab read-only: it already holds every shard's warm-up context.
+// Nothing is fed after Finish, so the shared slab is never recycled.
+func (f *Feeder) dispatchTail() {
+	slab, lo := f.slab, f.body
+	f.slab = nil
+	for _, c := range parallel.Chunks(len(slab)-lo, f.workers, minShardSpan*f.limit) {
+		if f.submit(slab, lo+c[0], lo+c[1], false) != nil {
+			return // the failure resurfaces from Wait
+		}
 	}
+}
+
+// submit hands shard [lo, hi) of slab to the pool, building into a graph
+// borrowed from the arena, and returns the slab to the feeder's pool
+// when the shard ends if recycle is set.
+func (f *Feeder) submit(slab []int32, lo, hi int, recycle bool) error {
+	maxSym, limit := f.maxSym, f.limit
 	st := f.arena.getShard()
 	st.g = f.arena.GetGraph()
 	st.g.ensureSym(maxSym)
 	f.states = append(f.states, st)
 	return f.pool.Submit(func(ctx context.Context) error {
 		err := buildShard(ctx, st, st.g, slab, maxSym, limit, lo, hi)
-		f.putSlab(slab)
+		if recycle {
+			f.putSlab(slab)
+		}
 		return err
 	})
 }
 
-// Finish seals the stream: the remaining body becomes the last shard,
-// and the partial graphs merge in trace order — edge weights sum and
-// node lists concatenate, reproducing the global first-occurrence node
-// order. A single shard's graph is returned as is, without a merge. The
-// caller owns the returned graph (recycle it via Arena.PutGraph).
+// Finish seals the stream: the remaining body becomes the last shards,
+// one per worker, and the partial graphs merge into the first shard's
+// in trace order — edge weights sum and node lists concatenate,
+// reproducing the global first-occurrence node order. The caller owns
+// the returned graph (recycle it via Arena.PutGraph). It records one trg.build span with the graph's
+// node count and the number of shards the stream ran.
 func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
+	sp := obs.StartSpan(ctx, "trg.build")
+	defer sp.End()
+	return f.finish(sp)
+}
+
+// finish is Finish recording into the caller's span, so a buffered build
+// reports one span covering both its feed and its merge.
+func (f *Feeder) finish(sp obs.Span) (*Graph, error) {
+	sp.SetAttr("trace_len", int64(f.n))
 	if f.err == nil && f.body < len(f.slab) {
-		_ = f.dispatch(len(f.slab), true) // a failure resurfaces from Wait
+		f.dispatchTail()
 	}
+	sp.SetAttr("shards", int64(len(f.states)))
 	if err := f.pool.Wait(); err != nil {
 		f.release()
 		return nil, err
 	}
 	var g *Graph
-	switch len(f.states) {
-	case 0:
-		g = f.arena.GetGraph()
-	case 1:
+	if len(f.states) == 0 {
+		g = f.arena.GetGraph() // the empty trace's graph
+	} else {
+		// The first shard's graph absorbs the others in trace order.
 		g, f.states[0].g = f.states[0].g, nil
-	default:
-		g = f.arena.GetGraph()
-		g.ensureSym(f.maxSym)
-		for _, st := range f.states {
+		for _, st := range f.states[1:] {
 			for _, s := range st.g.nodes {
 				g.AddNode(s)
 			}
@@ -215,6 +252,7 @@ func (f *Feeder) Finish(ctx context.Context) (*Graph, error) {
 		}
 	}
 	f.release()
+	sp.SetAttr("nodes", int64(len(g.nodes)))
 	return g, nil
 }
 

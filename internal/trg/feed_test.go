@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"codelayout/internal/obs"
 	"codelayout/internal/trace"
 )
 
@@ -88,6 +89,42 @@ func TestFeederMatchesBuffered(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFeederShortStreamUsesWorkers: a stream shorter than the default
+// shard span reaches Finish undispatched, and Finish cuts it into one
+// shard per worker, as the trg.build span's shards attribute shows. The
+// graph equals the Definition 6 reference either way.
+func TestFeederShortStreamUsesWorkers(t *testing.T) {
+	const window = 16
+	tr := phasedTrace(rand.New(rand.NewSource(15)), 1500, 200, 8)
+	want := BuildNaive(tr, window)
+	for _, workers := range []int{1, 2} {
+		rec := obs.NewRecorder(4)
+		ctx := obs.WithRecorder(context.Background(), rec)
+		f := NewFeeder(ctx, window, workers, 0, nil)
+		for syms := tr.Syms; len(syms) > 0; syms = syms[min(256, len(syms)):] {
+			if err := f.Feed(syms[:min(256, len(syms))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := f.Finish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.Nodes(), want.Nodes()) || !reflect.DeepEqual(g.Edges(), want.Edges()) {
+			t.Fatalf("workers=%d: streamed graph differs from the Definition 6 reference", workers)
+		}
+		spans, _ := rec.Snapshot()
+		attrs := map[string]int64{}
+		for _, a := range spans[0].Attrs[:spans[0].NAttr] {
+			attrs[a.Key] = a.Value
+		}
+		if spans[0].Name != "trg.build" || attrs["shards"] != int64(workers) || attrs["nodes"] != int64(len(want.Nodes())) {
+			t.Errorf("workers=%d: span %s attrs %v, want trg.build with shards=%d nodes=%d",
+				workers, spans[0].Name, attrs, workers, len(want.Nodes()))
 		}
 	}
 }

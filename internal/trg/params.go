@@ -3,7 +3,6 @@ package trg
 import (
 	"context"
 
-	"codelayout/internal/obs"
 	"codelayout/internal/trace"
 )
 
@@ -89,20 +88,14 @@ func Sequence(t *trace.Trace, p Params) []int32 {
 
 // SequenceCtx is Sequence with cancellation (the construction's shard
 // loops poll ctx) and buffer reuse; arena may be nil. The built graph is
-// recycled through the arena once reduced.
+// recycled through the arena once reduced. It records the trg.build and
+// trg.reduce spans.
 func SequenceCtx(ctx context.Context, t *trace.Trace, p Params, arena *Arena) ([]int32, error) {
-	sp := obs.StartSpan(ctx, "trg.build")
 	g, err := BuildCtx(ctx, t, p.WindowBlocks(), p.Workers, arena)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	sp.SetAttr("nodes", int64(len(g.nodes)))
-	sp.End()
-	rp := obs.StartSpan(ctx, "trg.reduce")
-	seq := Reduce(g, p.Slots())
-	rp.SetAttr("seq_len", int64(len(seq)))
-	rp.End()
+	seq := ReduceCtx(ctx, g, p.Slots())
 	arena.PutGraph(g)
 	return seq, nil
 }

@@ -1,7 +1,10 @@
 package trg
 
 import (
-	"container/heap"
+	"context"
+
+	"codelayout/internal/flathash"
+	"codelayout/internal/obs"
 )
 
 // Reduce runs the paper's TRG reduction (Algorithm 2) with K code slots
@@ -19,97 +22,150 @@ import (
 //
 // Nodes that never gain an edge are appended after the reduction output
 // in the graph's node order, keeping the result a permutation of all
-// nodes.
+// nodes. Edge weights are conflict counts, so they are positive.
+//
+// The reducer works on flat arrays (DESIGN.md §9): nodes are indexed
+// densely in the graph's node order, live edge weights sit in one flat
+// table, the edge heap is typed, and a placement walks the node's
+// neighbours instead of probing all K slots.
 func Reduce(g *Graph, k int) []int32 {
-	if k < 1 {
-		k = 1
-	}
-	r := &reducer{
-		g:       g,
-		k:       k,
-		parent:  make(map[int32]int32),
-		adj:     make(map[int32]map[int32]int64),
-		slots:   make([][]int32, k),
-		slotRep: make([]int32, k),
-		slotOf:  make(map[int32]int),
-	}
-	for _, n := range g.nodes {
-		r.parent[n] = n
-	}
-	pq := &edgeHeap{}
-	g.forEachEdge(func(a, b int32, w int64) {
-		r.addAdj(a, b, w)
-		heap.Push(pq, heapEdge{w: w, a: a, b: b})
-	})
+	return ReduceCtx(context.Background(), g, k)
+}
 
-	for pq.Len() > 0 {
-		e := heap.Pop(pq).(heapEdge)
-		a, b := r.find(e.a), r.find(e.b)
+// ReduceCtx is Reduce recording one trg.reduce span with the graph's
+// node and edge counts and the sequence length.
+func ReduceCtx(ctx context.Context, g *Graph, k int) []int32 {
+	sp := obs.StartSpan(ctx, "trg.reduce")
+	defer sp.End()
+	r := newReducer(g, max(k, 1))
+	sp.SetAttr("nodes", int64(len(r.sym)))
+	sp.SetAttr("edges", int64(len(r.pq)))
+	seq := r.run()
+	sp.SetAttr("seq_len", int64(len(seq)))
+	return seq
+}
+
+// run is the main loop of Algorithm 2 followed by the emission sweep.
+func (r *reducer) run() []int32 {
+	for r.unplaced > 0 && len(r.pq) > 0 {
+		e := r.pq.pop()
+		ea, eb := r.ends(e.key)
+		a, b := r.find(ea), r.find(eb)
 		if a == b {
 			continue // merged since the entry was pushed
 		}
-		// Skip stale entries whose weight no longer matches the live edge.
-		if r.adj[a][b] != e.w {
-			continue
-		}
-		_, aPlaced := r.slotOf[a]
-		_, bPlaced := r.slotOf[b]
+		// An entry never needs a staleness check: edges at an unplaced
+		// node are never removed and only grow, and a grown edge's
+		// refreshed entry outweighs this one, so it popped first and
+		// placed the node. An entry with an unplaced endpoint is live.
+		aPlaced, bPlaced := r.slotOf[a] >= 0, r.slotOf[b] >= 0
 		if aPlaced && bPlaced {
 			continue
 		}
 		if !aPlaced {
-			r.place(a, pq)
+			r.place(a)
 		}
 		if !bPlaced {
 			// a's placement may have merged b away; re-resolve.
-			b = r.find(e.b)
-			if _, ok := r.slotOf[b]; !ok {
-				r.place(b, pq)
+			if b = r.find(eb); r.slotOf[b] < 0 {
+				r.place(b)
 			}
 		}
 	}
-
-	out := make([]int32, 0, len(g.nodes))
-	emitted := make(map[int32]bool, len(g.nodes))
-	// Round-robin sweep over slot lists.
-	heads := make([]int, k)
-	for {
-		any := false
-		for s := 0; s < k; s++ {
-			if heads[s] < len(r.slots[s]) {
-				sym := r.slots[s][heads[s]]
-				heads[s]++
-				out = append(out, sym)
-				emitted[sym] = true
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	// Isolated nodes (never placed) follow in first-occurrence order.
-	for _, n := range g.nodes {
-		if !emitted[n] {
-			out = append(out, n)
-		}
-	}
-	return out
+	return r.emit()
 }
 
+// reducer is Algorithm 2's working state over dense node indices
+// 0..n-1 (the graph's node order). Memory is O(nodes + edges + K).
 type reducer struct {
-	g      *Graph
-	k      int
-	parent map[int32]int32
-	// adj holds live edge weights between node representatives.
-	adj map[int32]map[int32]int64
-	// slots[i] is the linked list of code blocks assigned to slot i, in
-	// arrival order. slotRep[i] is the representative of the slot's
-	// merged TRG node (only meaningful for non-empty slots).
-	slots   [][]int32
-	slotRep []int32
-	slotOf  map[int32]int // representative -> slot index
+	sym    []int32 // dense index -> node ID
+	index  []int32 // node ID -> dense index
+	parent []int32 // union-find over dense indices
+
+	// w holds the live edge weights between representatives, keyed by
+	// the pairKey of their node IDs (a copy of the graph's own table);
+	// 0 means no edge. nbrs[x] lists x's neighbours: an entry whose edge
+	// was removed or merged away stays behind (w reads 0), and an edge
+	// that forms again is listed again, so every walk reads w. deg[x] is
+	// x's exact live degree.
+	w    flathash.Sum64
+	nbrs [][]int32
+	deg  []int32
+
+	// Slot i's linked list of code blocks runs head[i] -> next[...] ->
+	// tail[i] in arrival order; rep[i] is the representative of the
+	// slot's merged TRG node. Occupied slots are always the prefix
+	// [0, used). slotOf[x] is the slot of representative x, -1 while x is
+	// unplaced.
+	head, tail, rep []int32
+	next            []int32
+	used            int
+	slotOf          []int32
+
+	unplaced int     // nodes with an edge that are not placed yet
+	conflict []int64 // per-slot scratch for a full-cache placement
+	pq       edgeHeap
 }
+
+func newReducer(g *Graph, k int) *reducer {
+	n := len(g.nodes)
+	r := &reducer{
+		sym:      g.nodes,
+		parent:   make([]int32, n),
+		nbrs:     make([][]int32, n),
+		deg:      make([]int32, n),
+		head:     make([]int32, k),
+		tail:     make([]int32, k),
+		rep:      make([]int32, k),
+		next:     make([]int32, n),
+		slotOf:   make([]int32, n),
+		conflict: make([]int64, k),
+		pq:       make(edgeHeap, 0, g.weights.Len()),
+	}
+	r.index = make([]int32, len(g.seen))
+	for i, s := range g.nodes {
+		r.index[s] = int32(i)
+		r.parent[i] = int32(i)
+		r.slotOf[i] = -1
+		r.next[i] = -1
+	}
+	r.w.CopyFrom(&g.weights)
+	g.forEachEdge(func(a, b int32, w int64) {
+		da, db := r.index[a], r.index[b]
+		r.pq = append(r.pq, heapEdge{w: w, key: pairKey(a, b)})
+		r.deg[da]++
+		r.deg[db]++
+	})
+	// One backing array holds every initial neighbour list; a list that
+	// later outgrows its share is reallocated on its own.
+	back := make([]int32, 2*len(r.pq))
+	off := 0
+	for i, d := range r.deg {
+		r.nbrs[i] = back[off : off : off+int(d)]
+		off += int(d)
+		if d > 0 {
+			r.unplaced++
+		}
+	}
+	for _, e := range r.pq {
+		a, b := r.ends(e.key)
+		r.nbrs[a] = append(r.nbrs[a], b)
+		r.nbrs[b] = append(r.nbrs[b], a)
+	}
+	r.pq.init()
+	return r
+}
+
+// key is the pairKey of representatives a and b.
+func (r *reducer) key(a, b int32) int64 { return pairKey(r.sym[a], r.sym[b]) }
+
+// ends returns the dense indices of a heap entry's endpoints, smaller
+// node ID first.
+func (r *reducer) ends(key int64) (int32, int32) {
+	return r.index[key>>32], r.index[key&0xffffffff]
+}
+
+func (r *reducer) weight(a, b int32) int64 { return r.w.Get(r.key(a, b)) }
 
 func (r *reducer) find(x int32) int32 {
 	for r.parent[x] != x {
@@ -119,130 +175,188 @@ func (r *reducer) find(x int32) int32 {
 	return x
 }
 
-func (r *reducer) addAdj(a, b int32, w int64) {
-	if r.adj[a] == nil {
-		r.adj[a] = make(map[int32]int64)
-	}
-	if r.adj[b] == nil {
-		r.adj[b] = make(map[int32]int64)
-	}
-	r.adj[a][b] += w
-	r.adj[b][a] += w
-}
-
 func (r *reducer) removeEdge(a, b int32) {
-	if m := r.adj[a]; m != nil {
-		delete(m, b)
-	}
-	if m := r.adj[b]; m != nil {
-		delete(m, a)
+	if key := r.key(a, b); r.w.Get(key) != 0 {
+		r.w.Set(key, 0)
+		r.deg[a]--
+		r.deg[b]--
 	}
 }
 
-// place assigns the unplaced node rep to a slot per steps 4-22 of
-// Algorithm 2.
-func (r *reducer) place(node int32, pq *edgeHeap) {
-	slot := -1
-	conflicts := int64(-1) // -1 encodes the algorithm's initial ∞
-	for s := 0; s < r.k; s++ {
-		if len(r.slots[s]) == 0 {
-			slot = s
-			conflicts = -2 // marks "empty slot chosen"
-			break
-		}
-		w, ok := r.adj[node][r.slotRep[s]]
-		if !ok {
-			// No recorded conflicts with this slot's node: Algorithm 2
-			// compares the edge weight, and an absent edge weighs 0.
-			w = 0
-		}
-		if conflicts == -1 || w < conflicts {
-			slot = s
-			conflicts = w
-		}
-	}
-	r.slots[slot] = append(r.slots[slot], node)
-	if conflicts == -2 {
-		// First occupant: the node becomes the slot's TRG node. Steps
-		// 19-21 still apply: its edges to the other slots' nodes are
-		// dropped (the nodes now sit in different cache slots, so they
-		// no longer conflict).
-		r.slotRep[slot] = node
-		r.slotOf[node] = slot
-		for s := 0; s < r.k; s++ {
-			if s != slot && len(r.slots[s]) > 0 {
-				r.removeEdge(node, r.slotRep[s])
-			}
-		}
+// place assigns the unplaced representative x to a slot per steps 4-22
+// of Algorithm 2.
+func (r *reducer) place(x int32) {
+	r.unplaced--
+	if r.used < len(r.rep) {
+		// First occupant of the first empty slot: x becomes the slot's
+		// TRG node.
+		s := r.used
+		r.used++
+		r.head[s], r.tail[s], r.rep[s] = x, x, x
+		r.slotOf[x] = int32(s)
+		r.dropSlotEdges(x)
 		return
 	}
-	// Combine node into the slot's TRG node (step 18).
-	rep := r.slotRep[slot]
-	merged := r.merge(rep, node, pq)
-	r.slotRep[slot] = merged
-	delete(r.slotOf, rep)
-	r.slotOf[merged] = slot
-	// Steps 19-21: remove edges between the merged node and the other
-	// slots' nodes.
-	for s := 0; s < r.k; s++ {
-		if s == slot || len(r.slots[s]) == 0 {
-			continue
+	// Every slot is occupied: take the slot whose node x conflicts with
+	// least, the first on ties. An absent edge weighs 0, so only x's
+	// neighbours that are slot nodes need reading.
+	c := r.conflict
+	clear(c)
+	for _, nb := range r.nbrs[x] {
+		if s := r.slotOf[nb]; s >= 0 {
+			c[s] = r.weight(x, nb)
 		}
-		r.removeEdge(merged, r.slotRep[s])
+	}
+	s := 0
+	for i, w := range c {
+		if w < c[s] {
+			s = i
+		}
+	}
+	r.next[r.tail[s]] = x
+	r.tail[s] = x
+	// Combine x into the slot's TRG node (step 18).
+	r.slotOf[r.rep[s]] = -1
+	m := r.merge(r.rep[s], x)
+	r.rep[s] = m
+	r.slotOf[m] = int32(s)
+	r.dropSlotEdges(m)
+}
+
+// dropSlotEdges is steps 19-21: x now sits in a different cache slot
+// from every other slot node, so their edges no longer conflict.
+func (r *reducer) dropSlotEdges(x int32) {
+	for _, nb := range r.nbrs[x] {
+		if r.slotOf[nb] >= 0 {
+			r.removeEdge(x, nb)
+		}
 	}
 }
 
 // merge unions node b into node a in the graph, combining edges, and
 // pushes refreshed heap entries for every changed edge.
-func (r *reducer) merge(a, b int32, pq *edgeHeap) int32 {
-	// Union by adjacency degree: relabel the smaller side.
-	if len(r.adj[a]) < len(r.adj[b]) {
+func (r *reducer) merge(a, b int32) int32 {
+	// Union by live degree: relabel the smaller side.
+	if r.deg[a] < r.deg[b] {
 		a, b = b, a
 	}
 	r.parent[b] = a
-	for nb, w := range r.adj[b] {
+	for _, nb := range r.nbrs[b] {
 		if nb == a {
 			continue
 		}
-		delete(r.adj[nb], b)
-		if r.adj[a] == nil {
-			r.adj[a] = make(map[int32]int64)
+		kb := r.key(b, nb)
+		w := r.w.Get(kb)
+		if w == 0 {
+			continue // removed, or a repeat entry already moved
 		}
-		r.adj[a][nb] += w
-		if r.adj[nb] == nil {
-			r.adj[nb] = make(map[int32]int64)
+		r.w.Set(kb, 0)
+		ka := r.key(a, nb)
+		old := r.w.Get(ka)
+		r.w.Set(ka, old+w)
+		if old == 0 {
+			r.nbrs[a] = append(r.nbrs[a], nb)
+			r.nbrs[nb] = append(r.nbrs[nb], a)
+			r.deg[a]++
+		} else {
+			r.deg[nb]-- // nb loses b and already neighbours a
 		}
-		r.adj[nb][a] += w
-		heap.Push(pq, heapEdge{w: r.adj[a][nb], a: a, b: nb})
+		r.pq.push(heapEdge{w: old + w, key: ka})
 	}
-	delete(r.adj[a], b)
-	delete(r.adj, b)
+	r.removeEdge(a, b)
+	r.nbrs[b] = nil
 	return a
 }
 
-// heapEdge orders edges by descending weight; ties break toward smaller
-// node IDs for determinism.
-type heapEdge struct {
-	w    int64
-	a, b int32
+// emit sweeps the slot lists round-robin, one header per non-empty list
+// per sweep, then appends the never-placed nodes in node order.
+func (r *reducer) emit() []int32 {
+	out := make([]int32, 0, len(r.sym))
+	placed := make([]bool, len(r.sym))
+	cur := r.head[:r.used]
+	for live := r.used; live > 0; {
+		live = 0
+		for s, x := range cur {
+			if x < 0 {
+				continue
+			}
+			out = append(out, r.sym[x])
+			placed[x] = true
+			cur[s] = r.next[x]
+			live++
+		}
+	}
+	for i, s := range r.sym {
+		if !placed[i] {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
+// heapEdge is one edge-heap entry: the edge's weight when pushed and the
+// pairKey of its endpoints' node IDs, which breaks weight ties toward
+// smaller IDs.
+type heapEdge struct {
+	w, key int64
+}
+
+// edgeHeap is a binary max-heap on (weight desc, key asc).
 type edgeHeap []heapEdge
 
-func (h edgeHeap) Len() int { return len(h) }
-func (h edgeHeap) Less(i, j int) bool {
+func (h edgeHeap) before(i, j int) bool {
 	if h[i].w != h[j].w {
 		return h[i].w > h[j].w
 	}
-	ka, kb := pairKey(h[i].a, h[i].b), pairKey(h[j].a, h[j].b)
-	return ka < kb
+	return h[i].key < h[j].key
 }
-func (h edgeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *edgeHeap) Push(x interface{}) { *h = append(*h, x.(heapEdge)) }
-func (h *edgeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h edgeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *edgeHeap) push(e heapEdge) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *edgeHeap) pop() heapEdge {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	*h = q[:last]
+	h.down(0)
+	return top
+}
+
+func (h edgeHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(i, p) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (h edgeHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.before(c+1, c) {
+			c++
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

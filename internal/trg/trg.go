@@ -19,11 +19,12 @@ package trg
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync"
 
 	"codelayout/internal/flathash"
-	"codelayout/internal/parallel"
+	"codelayout/internal/obs"
 	"codelayout/internal/stackdist"
 	"codelayout/internal/trace"
 )
@@ -255,16 +256,20 @@ func BuildWorkers(t *trace.Trace, windowBlocks, workers int) *Graph {
 }
 
 // BuildCtx is BuildWorkers with cancellation and buffer reuse: the
-// streaming Feeder fed the whole trimmed trace at once, cut into one
-// shard per worker. Each shard warms a private LRU stack by replaying the
-// span holding the last windowBlocks distinct symbols before it, so its
-// per-access interleaving views equal the full-trace simulation, and the
-// per-shard partial graphs merge exactly: edge weights sum and shard node
-// lists concatenate in trace order, reproducing the global
-// first-occurrence node order. The shard loops poll ctx, so a job
-// deadline can interrupt a long construction; on cancellation the
-// partial graph is discarded and ctx's error returned. arena may be nil.
+// streaming Feeder fed the whole trimmed trace at once with no arrival
+// cuts, so Finish cuts it into one shard per worker. Each shard warms a
+// private LRU stack by replaying the span holding the last windowBlocks
+// distinct symbols before it, so its per-access interleaving views
+// equal the full-trace simulation, and the per-shard partial graphs
+// merge exactly: edge weights sum and shard node lists concatenate in
+// trace order, reproducing the global first-occurrence node order. The
+// shard loops poll ctx, so a job deadline can interrupt a long
+// construction; on cancellation the partial graph is discarded and
+// ctx's error returned. arena may be nil. It records one trg.build span
+// covering the feed and the merge.
 func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, arena *Arena) (*Graph, error) {
+	sp := obs.StartSpan(ctx, "trg.build")
+	defer sp.End()
 	tt := t.Trimmed()
 	limit := windowBlocks
 	if limit <= 0 {
@@ -272,13 +277,12 @@ func BuildCtx(ctx context.Context, t *trace.Trace, windowBlocks, workers int, ar
 		// by the alphabet and can still shard.
 		limit = int(tt.MaxSym()) + 1
 	}
-	w := parallel.Workers(workers)
-	f := newFeeder(ctx, limit, workers, (len(tt.Syms)+w-1)/w, arena)
+	f := newFeeder(ctx, limit, workers, math.MaxInt, arena)
 	if err := f.Feed(tt.Syms); err != nil {
 		f.Abort()
 		return nil, err
 	}
-	return f.Finish(ctx)
+	return f.finish(sp)
 }
 
 // cancelCheckMask throttles the in-shard context checks: the shard loop

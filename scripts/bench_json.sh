@@ -4,11 +4,11 @@
 #
 #   bench_json.sh run [out.json]
 #       Run the kernel benchmarks (affinity stack passes, TRG
-#       construction, footprint curve, co-run simulation, placement
-#       solver, streaming decode and feed) with -benchmem
-#       and write one JSON document with ns/op, B/op and allocs/op per
-#       benchmark. BENCHTIME overrides -benchtime (default 3x; CI uses
-#       1x).
+#       construction and reduction, footprint curve, co-run
+#       simulation, placement solver, streaming decode and feed) with
+#       -benchmem and write one JSON document with ns/op, B/op and
+#       allocs/op per benchmark. BENCHTIME overrides -benchtime
+#       (default 3x; CI uses 1x).
 #
 #   bench_json.sh check out.json <benchmark> <max-allocs>
 #       Exit non-zero if <benchmark>'s allocs_per_op in out.json exceeds
@@ -35,7 +35,7 @@ BENCHTIME=${BENCHTIME:-3x}
 # and must reuse its caller's buffer, the traceparent parse/format pair,
 # which runs on every inbound request and every peer hop, and the
 # runtime-telemetry sampler tick, which fires for the process lifetime.
-BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick)$'
+BENCH_RE='^(BenchmarkBuildHierarchyWorkers|BenchmarkTRGBuildWorkers|BenchmarkFootprintCurveWorkers|BenchmarkCorunBatchWorkers|BenchmarkShardPairHists|BenchmarkBuildHierarchyArena|BenchmarkBuildShard|BenchmarkBuildArena|BenchmarkReduceProgen|BenchmarkWindowFootprintScratch|BenchmarkSpanStartEnd|BenchmarkSpanStartEndDropped|BenchmarkRegistryCounterInc|BenchmarkRegistryHistogramObserve|BenchmarkScheduleSolve|BenchmarkStreamDecode|BenchmarkStreamFeed|BenchmarkAntiEntropyDiff|BenchmarkTraceparentParse|BenchmarkTraceparentFormat|BenchmarkRuntimeSamplerTick)$'
 PKGS='. ./internal/affinity ./internal/trg ./internal/footprint ./internal/obs ./internal/schedule ./internal/trace ./internal/cluster'
 
 run() {
